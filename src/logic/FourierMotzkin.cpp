@@ -106,15 +106,16 @@ std::vector<VarId> fm::variablesOf(const Cube &C) {
   return Vars;
 }
 
-bool fm::isSatisfiable(const Cube &C) {
-  if (C.isContradictory())
-    return false;
+namespace {
+
+/// The uncached decision procedure behind fm::isSatisfiable.
+bool decideSatisfiable(const Cube &C) {
   Cube Work = C;
   // Eliminate cheapest variables first (fewest bound pairs) to delay blowup.
   while (true) {
     if (Work.isContradictory())
       return false;
-    std::vector<VarId> Vars = variablesOf(Work);
+    std::vector<VarId> Vars = fm::variablesOf(Work);
     if (Vars.empty())
       return true; // all atoms ground and individually true by normalization
     // Tally bound counts per variable in one pass over the atoms (Vars is
@@ -145,8 +146,155 @@ bool fm::isSatisfiable(const Cube &C) {
         Best = Vars[I];
       }
     }
-    Work = eliminate(Work, Best);
+    Work = fm::eliminate(Work, Best);
   }
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// Per-run satisfiability memo
+//===----------------------------------------------------------------------===//
+
+/// Direct-mapped slots over a flat key arena. A key is the cube's exact atom
+/// sequence: per atom a header word (relation, width flag, term count), the
+/// constant, then one word per term (coefficient and variable packed) or,
+/// when some coefficient of the atom does not fit 32 bits, two. The key of a
+/// query is encoded at the arena's free end; a miss commits it by advancing
+/// the end, so lookups allocate nothing. A slot collision overwrites the
+/// slot (its old key stays in the arena as garbage); a full arena clears
+/// the whole memo.
+struct fm::SatMemo {
+  struct Slot {
+    uint32_t Tag = 0;    ///< high half of the key's hash
+    uint16_t Offset = 0; ///< first key word in the arena
+    uint16_t LenAns = 0; ///< key length << 1 | answer; 0 marks an empty slot
+  };
+  static constexpr size_t NumSlots = 2048;
+  static constexpr size_t CounterBytes = 4 * sizeof(uint64_t);
+  static constexpr size_t ArenaWords =
+      (SatMemoScope::FootprintBytes - NumSlots * sizeof(Slot) -
+       CounterBytes) /
+      sizeof(int64_t);
+
+  Slot Slots[NumSlots];
+  int64_t Arena[ArenaWords]; // left uninitialized; only [0, Used) is read
+  uint64_t Used = 0;
+  uint64_t Hits = 0, Misses = 0, Clears = 0;
+
+  void clear() {
+    std::fill(std::begin(Slots), std::end(Slots), Slot());
+    Used = 0;
+    ++Clears;
+  }
+
+  /// \returns an upper bound on the key length of \p C in words.
+  static size_t maxKeyWords(const Cube &C) {
+    size_t N = 1;
+    for (const Constraint &Atom : C.atoms())
+      N += 2 + 2 * Atom.expr().terms().size();
+    return N;
+  }
+
+  /// Writes the key of \p C at \p Out and its length to \p Len.
+  /// \returns the key's hash.
+  static uint64_t encode(const Cube &C, int64_t *Out, size_t &Len) {
+    int64_t *Begin = Out;
+    uint64_t H = 0x243F6A8885A308D3ULL;
+    auto Put = [&](int64_t W) {
+      *Out++ = W;
+      H = ((H << 5 | H >> 59) ^ static_cast<uint64_t>(W)) *
+          0x9E3779B97F4A7C15ULL;
+    };
+    Put(static_cast<int64_t>(C.size()));
+    for (const Constraint &Atom : C.atoms()) {
+      const auto &Terms = Atom.expr().terms();
+      bool Wide = std::any_of(Terms.begin(), Terms.end(),
+                              [](const LinearExpr::Term &T) {
+                                return T.Coeff < INT32_MIN ||
+                                       T.Coeff > INT32_MAX;
+                              });
+      Put(static_cast<int64_t>(Terms.size()) << 2 | (Wide ? 2 : 0) |
+          (Atom.rel() == RelKind::EQ ? 1 : 0));
+      Put(Atom.expr().constantTerm());
+      for (const LinearExpr::Term &T : Terms) {
+        if (Wide) {
+          Put(T.Var);
+          Put(T.Coeff);
+        } else {
+          uint64_t Coeff = static_cast<uint32_t>(T.Coeff);
+          Put(static_cast<int64_t>(Coeff << 32 | T.Var));
+        }
+      }
+    }
+    Len = static_cast<size_t>(Out - Begin);
+    // Final avalanche (murmur3's fmix64) so both halves are well mixed.
+    H ^= H >> 33;
+    H *= 0xFF51AFD7ED558CCDULL;
+    H ^= H >> 33;
+    H *= 0xC4CEB9FE1A85EC53ULL;
+    H ^= H >> 33;
+    return H;
+  }
+
+  bool isSatisfiable(const Cube &C) {
+    size_t Room = maxKeyWords(C);
+    if (Room > ArenaWords) { // too long to store: decide uncached
+      ++Misses;
+      return decideSatisfiable(C);
+    }
+    if (Used + Room > ArenaWords)
+      clear();
+    int64_t *Key = Arena + Used;
+    size_t Len;
+    uint64_t H = encode(C, Key, Len);
+    Slot &S = Slots[H & (NumSlots - 1)];
+    uint32_t Tag = static_cast<uint32_t>(H >> 32);
+    if (S.LenAns >> 1 == Len && S.Tag == Tag &&
+        std::equal(Key, Key + Len, Arena + S.Offset)) {
+      ++Hits;
+      return S.LenAns & 1;
+    }
+    ++Misses;
+    bool Sat = decideSatisfiable(C);
+    S.Tag = Tag;
+    S.Offset = static_cast<uint16_t>(Used);
+    S.LenAns = static_cast<uint16_t>(Len << 1 | (Sat ? 1 : 0));
+    Used += Len;
+    return Sat;
+  }
+};
+
+static_assert(sizeof(fm::SatMemo) <= fm::SatMemoScope::FootprintBytes,
+              "the satisfiability memo outgrew its footprint");
+static_assert(fm::SatMemo::ArenaWords < 0x7FFF,
+              "arena offsets and key lengths must fit the 16-bit slot fields");
+
+namespace {
+/// The innermost memo of this thread; null outside every scope.
+thread_local fm::SatMemo *ActiveMemo = nullptr;
+} // namespace
+
+// Default-initialized: the slots start empty and the arena's pages stay
+// untouched until keys are written to them.
+fm::SatMemoScope::SatMemoScope()
+    : Memo(std::make_unique_for_overwrite<SatMemo>()), Prev(ActiveMemo) {
+  ActiveMemo = Memo.get();
+}
+
+fm::SatMemoScope::~SatMemoScope() { ActiveMemo = Prev; }
+
+uint64_t fm::SatMemoScope::hits() const { return Memo->Hits; }
+uint64_t fm::SatMemoScope::misses() const { return Memo->Misses; }
+uint64_t fm::SatMemoScope::clears() const { return Memo->Clears; }
+bool fm::SatMemoScope::active() { return ActiveMemo != nullptr; }
+
+bool fm::isSatisfiable(const Cube &C) {
+  if (C.isContradictory())
+    return false;
+  if (SatMemo *M = ActiveMemo)
+    return M->isSatisfiable(C);
+  return decideSatisfiable(C);
 }
 
 namespace {

@@ -24,6 +24,7 @@
 #include "logic/Cube.h"
 
 #include <map>
+#include <memory>
 #include <optional>
 
 namespace termcheck {
@@ -41,8 +42,44 @@ Cube eliminate(const Cube &C, VarId V);
 Cube eliminateAll(Cube C, const std::vector<VarId> &Vars);
 
 /// \returns false only when \p C has no integer solution (sound UNSAT);
-/// a true answer means "no contradiction found".
+/// a true answer means "no contradiction found". While a SatMemoScope is
+/// active on the calling thread, repeated queries are answered from it.
 bool isSatisfiable(const Cube &C);
+
+struct SatMemo;
+
+/// Installs a memo behind isSatisfiable for the calling thread and restores
+/// the previously installed one (usually none) on destruction. The key is
+/// the cube's exact atom sequence -- elimination order, and with it an
+/// overapproximating SAT answer, depends on atom order -- so a memoized
+/// answer is bit-identical to the uncached call. The memo has a fixed
+/// footprint (direct-mapped slots plus a flat key arena, cleared when
+/// full). TerminationAnalyzer::run opens one scope per run; outside any
+/// scope nothing is cached, which keeps the validators independent.
+class SatMemoScope {
+public:
+  /// Upper bound on the memo's heap footprint, slots and arena together.
+  static constexpr size_t FootprintBytes = 64 * 1024;
+
+  SatMemoScope();
+  ~SatMemoScope();
+  SatMemoScope(const SatMemoScope &) = delete;
+  SatMemoScope &operator=(const SatMemoScope &) = delete;
+
+  /// Queries answered from this scope's memo.
+  uint64_t hits() const;
+  /// Queries decided by elimination while this scope was innermost.
+  uint64_t misses() const;
+  /// Times the key arena filled up and the whole memo was cleared.
+  uint64_t clears() const;
+
+  /// \returns true when some scope is active on the calling thread.
+  static bool active();
+
+private:
+  std::unique_ptr<SatMemo> Memo;
+  SatMemo *Prev = nullptr;
+};
 
 /// \returns true when \p P entails the single atom \p C over the integers.
 bool entails(const Cube &P, const Constraint &C);

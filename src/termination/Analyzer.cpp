@@ -14,6 +14,7 @@
 #include "automata/PerfCounters.h"
 #include "automata/RankComplement.h"
 #include "automata/Simulation.h"
+#include "logic/FourierMotzkin.h"
 #include "termination/ModuleCache.h"
 
 #include <cassert>
@@ -426,6 +427,11 @@ AnalysisResult TerminationAnalyzer::run() {
   // so a delta around the whole run is the only attributable total. One
   // run executes on exactly one thread, so the delta is deterministic.
   const perf::Counters PerfStart = perf::local();
+  // Every stage, rotation and iteration of one run asks the solver largely
+  // the same satisfiability questions; the memo answers repeats without
+  // re-running elimination. It lives exactly as long as the run, on the
+  // run's thread, so nothing is shared across runs or threads.
+  fm::SatMemoScope SatMemo;
   TraceSpan RunSpan(Opts.Tracer, "analyzer.run");
   Deadline Budget = Opts.TimeoutSeconds > 0
                         ? Deadline::after(Opts.TimeoutSeconds)
@@ -749,6 +755,9 @@ AnalysisResult TerminationAnalyzer::run() {
   Result.Stats.add("perf.couvreur_cutoffs",
                    static_cast<int64_t>(PerfEnd.CouvreurCutoffs -
                                         PerfStart.CouvreurCutoffs));
+  Result.Stats.add("perf.sat_memo_hits", static_cast<int64_t>(SatMemo.hits()));
+  Result.Stats.add("perf.sat_memo_misses",
+                   static_cast<int64_t>(SatMemo.misses()));
   // The configured engine as a namespaced count-1 counter (the same idiom
   // as complement.*), so the run report names it without a string slot.
   Result.Stats.add(std::string("perf.emptiness_engine.") +

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 using namespace termcheck;
 
 namespace {
@@ -285,6 +288,208 @@ TEST_F(FmTest, PropertySampleIntegerPointSound) {
     };
     EXPECT_TRUE(C.holds(ValueOf)) << "sampled point violates its cube";
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Per-run satisfiability memo
+//===----------------------------------------------------------------------===//
+
+/// The variable part of a random cube: per atom, small coefficients over
+/// \p Vs and a relation.
+std::vector<std::pair<LinearExpr, RelKind>>
+randomShape(Rng &R, const std::vector<VarId> &Vs, int MaxAtoms) {
+  std::vector<std::pair<LinearExpr, RelKind>> Shape;
+  int N = 1 + static_cast<int>(R.below(static_cast<uint64_t>(MaxAtoms)));
+  for (int A = 0; A < N; ++A) {
+    LinearExpr E;
+    for (VarId V : Vs)
+      E = E + LinearExpr::scaled(V, R.range(-3, 3));
+    Shape.emplace_back(E, R.chance(1, 5) ? RelKind::EQ : RelKind::LE);
+  }
+  return Shape;
+}
+
+/// \p Shape with small random constants, so both SAT and UNSAT answers are
+/// common.
+std::vector<Constraint>
+instantiate(Rng &R, const std::vector<std::pair<LinearExpr, RelKind>> &Shape) {
+  std::vector<Constraint> Atoms;
+  for (const auto &[E, Rel] : Shape)
+    Atoms.push_back(
+        Constraint::make(E + LinearExpr::constant(R.range(-6, 6)), Rel));
+  return Atoms;
+}
+
+Cube cubeOf(const std::vector<Constraint> &Atoms) {
+  Cube C;
+  for (const Constraint &A : Atoms)
+    C.add(A);
+  return C;
+}
+
+/// Seeded queries. Each random shape is instantiated twice, so the pool
+/// holds twins that differ only in their constants, and every cube is
+/// also added in a permuted atom order. Then \p Draws more are drawn from
+/// that pool with repeats. Cubes that Cube::add already folded to the
+/// syntactic contradiction never reach the memo, so they are left out.
+std::vector<Cube> memoQueries(uint64_t Seed, const std::vector<VarId> &Vs,
+                              size_t Shapes, int MaxAtoms, size_t Draws) {
+  Rng R(Seed);
+  std::vector<Cube> Pool;
+  for (size_t I = 0; I < Shapes; ++I) {
+    auto Shape = randomShape(R, Vs, MaxAtoms);
+    for (int Twin = 0; Twin < 2; ++Twin) {
+      std::vector<Constraint> Atoms = instantiate(R, Shape);
+      Cube InOrder = cubeOf(Atoms);
+      if (InOrder.isContradictory())
+        continue;
+      for (size_t A = Atoms.size(); A > 1; --A)
+        std::swap(Atoms[A - 1], Atoms[R.below(A)]);
+      Pool.push_back(std::move(InOrder));
+      Pool.push_back(cubeOf(Atoms));
+    }
+  }
+  std::vector<Cube> Queries = Pool;
+  for (size_t I = 0; I < Draws; ++I)
+    Queries.push_back(Pool[R.below(Pool.size())]);
+  return Queries;
+}
+
+std::vector<bool> answersOf(const std::vector<Cube> &Queries) {
+  std::vector<bool> Out;
+  for (const Cube &C : Queries)
+    Out.push_back(fm::isSatisfiable(C));
+  return Out;
+}
+
+TEST_F(FmTest, MemoAgreesWithUncachedAnswersOnSeededCubes) {
+  // 75 shapes, two twins each, in two atom orders each fit the memo without
+  // a clear; two variables make UNSAT answers common.
+  std::vector<Cube> Queries = memoQueries(0x5A7E, {I, J}, 75, 5, 1800);
+  ASSERT_GE(Queries.size(), 2000u);
+  ASSERT_FALSE(fm::SatMemoScope::active());
+  std::vector<bool> Want = answersOf(Queries);
+  auto Unsat = static_cast<size_t>(std::count(Want.begin(), Want.end(), false));
+  EXPECT_GT(Unsat, Queries.size() / 10) << "corpus lacks UNSAT cubes";
+  EXPECT_LT(Unsat, Queries.size() * 9 / 10) << "corpus lacks SAT cubes";
+
+  fm::SatMemoScope Memo;
+  EXPECT_TRUE(fm::SatMemoScope::active());
+  EXPECT_EQ(answersOf(Queries), Want);
+  EXPECT_EQ(Memo.hits() + Memo.misses(), Queries.size());
+  EXPECT_GE(Memo.hits(), Queries.size() / 2) << "repeats were not memoized";
+  EXPECT_EQ(Memo.clears(), 0u);
+}
+
+TEST_F(FmTest, MemoKeysDistinguishCoefficientsBeyond32Bits) {
+  // (2^32 + 1) * i and 1 * i agree in their low 32 bits; a key that packed
+  // the coefficient narrowly would hand one cube the other's answer.
+  auto Query = [&](int64_t Coeff) {
+    Cube C;
+    C.add(Constraint::le(LinearExpr::scaled(I, Coeff), j())); // c*i <= j
+    C.add(Constraint::ge(i(), c(1)));
+    C.add(Constraint::le(j(), c(5)));
+    return C;
+  };
+  Cube Narrow = Query(1), Wide = Query((int64_t(1) << 32) + 1);
+  ASSERT_TRUE(fm::isSatisfiable(Narrow));
+  ASSERT_FALSE(fm::isSatisfiable(Wide));
+  fm::SatMemoScope Memo;
+  for (int Round = 0; Round < 2; ++Round) {
+    EXPECT_TRUE(fm::isSatisfiable(Narrow));
+    EXPECT_FALSE(fm::isSatisfiable(Wide));
+  }
+  EXPECT_EQ(Memo.misses(), 2u);
+  EXPECT_EQ(Memo.hits(), 2u);
+}
+
+TEST_F(FmTest, MemoAnswersSurviveOverflowAndClear) {
+  // Four variables and up to 8 atoms make long keys; 800 distinct cubes
+  // overflow the fixed arena several times over.
+  std::vector<VarId> Vs{I, J, K, Vars.intern("l")};
+  std::vector<Cube> Queries = memoQueries(0xC1EA, Vs, 200, 8, 800);
+  std::vector<bool> Want = answersOf(Queries);
+  fm::SatMemoScope Memo;
+  EXPECT_EQ(answersOf(Queries), Want);
+  EXPECT_GT(Memo.clears(), 1u) << "the corpus no longer overflows the memo";
+  EXPECT_GT(Memo.hits(), 0u);
+  // And again, now starting from whatever the last clear left behind.
+  EXPECT_EQ(answersOf(Queries), Want);
+}
+
+TEST_F(FmTest, NestedMemoScopesRestoreTheOuterMemo) {
+  Cube C;
+  C.add(Constraint::le(i(), j()));
+  C.add(Constraint::le(j(), i() - c(1)));
+  EXPECT_FALSE(fm::SatMemoScope::active());
+  {
+    fm::SatMemoScope Outer;
+    EXPECT_FALSE(fm::isSatisfiable(C));
+    EXPECT_EQ(Outer.misses(), 1u);
+    {
+      fm::SatMemoScope Inner;
+      // The inner memo starts empty and takes the query in place of Outer.
+      EXPECT_FALSE(fm::isSatisfiable(C));
+      EXPECT_FALSE(fm::isSatisfiable(C));
+      EXPECT_EQ(Inner.misses(), 1u);
+      EXPECT_EQ(Inner.hits(), 1u);
+      EXPECT_EQ(Outer.misses(), 1u);
+      EXPECT_EQ(Outer.hits(), 0u);
+    }
+    EXPECT_TRUE(fm::SatMemoScope::active());
+    EXPECT_FALSE(fm::isSatisfiable(C));
+    EXPECT_EQ(Outer.hits(), 1u) << "the outer memo was not restored";
+  }
+  EXPECT_FALSE(fm::SatMemoScope::active());
+}
+
+TEST_F(FmTest, ThreadsGetIndependentMemoScopes) {
+  std::vector<Cube> Queries = memoQueries(0x7EAD, {I, J, K}, 150, 6, 600);
+  std::vector<bool> Want = answersOf(Queries);
+  uint64_t WantHits, WantMisses;
+  {
+    fm::SatMemoScope Memo;
+    answersOf(Queries);
+    WantHits = Memo.hits();
+    WantMisses = Memo.misses();
+  }
+  // Two threads with scopes of their own and one without run the same
+  // queries at once; each scoped thread counts exactly what a lone run
+  // counts, so no query reached another thread's memo.
+  struct Outcome {
+    std::vector<bool> Answers;
+    uint64_t Hits = 0, Misses = 0;
+    bool Active = false;
+  };
+  Outcome Scoped[2], Unscoped;
+  fm::SatMemoScope MainScope;
+  std::thread A([&] {
+    fm::SatMemoScope Memo;
+    Scoped[0].Answers = answersOf(Queries);
+    Scoped[0].Hits = Memo.hits();
+    Scoped[0].Misses = Memo.misses();
+  });
+  std::thread B([&] {
+    fm::SatMemoScope Memo;
+    Scoped[1].Answers = answersOf(Queries);
+    Scoped[1].Hits = Memo.hits();
+    Scoped[1].Misses = Memo.misses();
+  });
+  std::thread C([&] {
+    Unscoped.Active = fm::SatMemoScope::active();
+    Unscoped.Answers = answersOf(Queries);
+  });
+  A.join();
+  B.join();
+  C.join();
+  for (const Outcome &O : Scoped) {
+    EXPECT_EQ(O.Answers, Want);
+    EXPECT_EQ(O.Hits, WantHits);
+    EXPECT_EQ(O.Misses, WantMisses);
+  }
+  EXPECT_FALSE(Unscoped.Active) << "a scope leaked into another thread";
+  EXPECT_EQ(Unscoped.Answers, Want);
+  EXPECT_EQ(MainScope.hits() + MainScope.misses(), 0u);
 }
 
 } // namespace

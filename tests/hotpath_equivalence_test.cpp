@@ -12,7 +12,10 @@
 /// are re-run for construction determinism and cross-engine language
 /// agreement over a seeded SDBA corpus, the analyzer's verdicts are pinned
 /// to benchmarks/EXPECTATIONS.txt, and deterministic run reports must stay
-/// byte-identical across runs while carrying the new perf.* counters.
+/// byte-identical across runs while carrying the new perf.* counters. The
+/// per-run satisfiability memo is held to the same standard: corpus and
+/// Figure 5 verdicts, back-to-back byte-identical reports, and modules that
+/// revalidate with no memo active.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +24,9 @@
 #include "automata/Ops.h"
 #include "automata/RankComplement.h"
 #include "automata/Scc.h"
+#include "benchgen/ProgramFamilies.h"
 #include "benchgen/RandomAutomata.h"
+#include "logic/FourierMotzkin.h"
 #include "program/Parser.h"
 #include "support/Json.h"
 #include "termination/Analyzer.h"
@@ -262,11 +267,11 @@ Program loadCorpusProgram(const std::string &Stem) {
   return std::move(*R.Prog);
 }
 
-TEST(HotpathEndToEnd, CorpusVerdictsMatchCheckedInExpectations) {
-  // EXPECTATIONS.txt is keyed by the program name declared in the source,
-  // not by the file stem, so walk the corpus and match on Program::name().
+/// EXPECTATIONS.txt as program name -> verdict name. It is keyed by the
+/// program name declared in the source, not by the file stem.
+std::map<std::string, std::string> loadExpectations() {
   std::ifstream Expect(corpusPath("EXPECTATIONS.txt"));
-  ASSERT_TRUE(Expect.good());
+  EXPECT_TRUE(Expect.good());
   std::map<std::string, std::string> Expected;
   std::string Line;
   while (std::getline(Expect, Line)) {
@@ -277,6 +282,22 @@ TEST(HotpathEndToEnd, CorpusVerdictsMatchCheckedInExpectations) {
     LS >> Name >> Verdict;
     Expected[Name] = Verdict;
   }
+  return Expected;
+}
+
+std::string deterministicReport(const Program &P, const AnalysisResult &R) {
+  RunReportInput In;
+  In.ProgramName = P.name();
+  In.Result = &R;
+  In.Jobs = 1;
+  std::ostringstream OS;
+  writeRunReport(OS, In, {/*Deterministic=*/true});
+  return OS.str();
+}
+
+TEST(HotpathEndToEnd, CorpusVerdictsMatchCheckedInExpectations) {
+  // Walk the corpus and match on Program::name().
+  std::map<std::string, std::string> Expected = loadExpectations();
   ASSERT_FALSE(Expected.empty());
   std::map<std::string, std::string> Got;
   for (const auto &Entry :
@@ -301,16 +322,7 @@ TEST(HotpathEndToEnd, DeterministicReportsAreByteIdenticalWithPerfCounters) {
     Program P = loadCorpusProgram(Stem);
     AnalyzerOptions Opts;
     Opts.TimeoutSeconds = 30;
-    AnalysisResult R = TerminationAnalyzer(P, Opts).run();
-    RunReportInput In;
-    In.ProgramName = P.name();
-    In.SourcePath = Stem + ".while";
-    In.Result = &R;
-    In.Jobs = 1;
-    In.TimeoutSeconds = 30;
-    std::ostringstream OS;
-    writeRunReport(OS, In, {/*Deterministic=*/true});
-    return OS.str();
+    return deterministicReport(P, TerminationAnalyzer(P, Opts).run());
   };
   for (const char *Stem : {"psort", "up_down"}) {
     std::string First = ReportFor(Stem);
@@ -322,11 +334,87 @@ TEST(HotpathEndToEnd, DeterministicReportsAreByteIdenticalWithPerfCounters) {
     ASSERT_TRUE(json::parse(First, V, &Err)) << Err;
     const json::Value *Counters = V.find("counters");
     ASSERT_NE(Counters, nullptr);
-    for (const char *Key : {"perf.csr_rebuilds", "perf.intern_hits",
-                            "perf.intern_misses", "perf.arcs_memoized"})
+    for (const char *Key :
+         {"perf.csr_rebuilds", "perf.intern_hits", "perf.intern_misses",
+          "perf.arcs_memoized", "perf.sat_memo_hits", "perf.sat_memo_misses"})
       EXPECT_NE(Counters->find(Key), nullptr)
           << "report of " << Stem << " is missing counter " << Key;
   }
+}
+
+TEST(HotpathEndToEnd, SatMemoKeepsVerdictsReportsAndModulesOfEveryRun) {
+  // The 14 corpus programs plus the Figure 5 suite, each run twice back to
+  // back on this thread. The memo lives inside run(), so the second run
+  // must start cold and report exactly what the first did -- a memo that
+  // leaked across runs would show up as extra hits. An iteration cap
+  // instead of the clock ends every run; gcd_like (it keeps unrolling)
+  // gets a short one, so its TIMEOUT report is reproducible too.
+  struct Task {
+    std::string Label; // file stem or suite name
+    std::string Source;
+    std::string Want; // verdict name
+    bool KnownGap = false; // an inconclusive verdict is allowed
+    uint64_t MaxIterations = 80;
+  };
+  std::map<std::string, std::string> Pinned = loadExpectations();
+  std::vector<Task> Tasks;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(TERMCHECK_CORPUS_DIR)) {
+    if (Entry.path().extension() != ".while")
+      continue;
+    std::ifstream In(Entry.path());
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    ParseResult PR = parseProgram(Buf.str());
+    ASSERT_TRUE(PR.ok()) << Entry.path();
+    auto It = Pinned.find(PR.Prog->name());
+    ASSERT_NE(It, Pinned.end()) << "no expectation for " << Entry.path();
+    Tasks.push_back({Entry.path().stem().string(), Buf.str(), It->second});
+  }
+  ASSERT_EQ(Tasks.size(), 14u);
+  for (const BenchProgram &B : benchmarkSuite()) {
+    bool Gcd = B.Name == "gcd_like";
+    Tasks.push_back({B.Name, B.Source,
+                     verdictName(B.Expect == Expected::Nonterminating
+                                     ? Verdict::Nonterminating
+                                     : Verdict::Terminating),
+                     Gcd || B.Expect == Expected::Hard, Gcd ? 12u : 80u});
+  }
+
+  int64_t PsortHits = -1;
+  for (const Task &T : Tasks) {
+    ParseResult PR = parseProgram(T.Source);
+    ASSERT_TRUE(PR.ok()) << PR.Error;
+    Program &P = *PR.Prog;
+    AnalyzerOptions Opts;
+    Opts.TimeoutSeconds = 60;
+    Opts.MaxIterations = T.MaxIterations;
+    AnalysisResult First = TerminationAnalyzer(P, Opts).run();
+    AnalysisResult Second = TerminationAnalyzer(P, Opts).run();
+    EXPECT_EQ(deterministicReport(P, First), deterministicReport(P, Second))
+        << "back-to-back reports differ for " << T.Label;
+
+    bool Conclusive = First.V == Verdict::Terminating ||
+                      First.V == Verdict::Nonterminating;
+    if (Conclusive || !T.KnownGap) {
+      EXPECT_EQ(verdictName(First.V), T.Want) << T.Label;
+    }
+
+    // The validators run outside every memo, as independent oracles.
+    ASSERT_FALSE(fm::SatMemoScope::active());
+    if (First.V == Verdict::Terminating) {
+      for (const CertifiedModule &M : First.Modules)
+        EXPECT_EQ(validateModule(M, P), "") << T.Label;
+    }
+    if (First.V == Verdict::Nonterminating) {
+      ASSERT_TRUE(First.Nonterm.has_value()) << T.Label;
+      EXPECT_EQ(First.Nonterm->validate(P), "") << T.Label;
+    }
+    if (T.Label == "psort") {
+      PsortHits = First.Stats.get("perf.sat_memo_hits");
+    }
+  }
+  EXPECT_GT(PsortHits, 0) << "psort never hit the memo (or was not run)";
 }
 
 } // namespace
