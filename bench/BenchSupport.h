@@ -69,10 +69,9 @@ inline std::string takeJsonFlag(int &Argc, char **Argv) {
 }
 
 /// Strips a `--repeat N` flag out of (Argc, Argv) in place; returns N
-/// (default 1). Walls are then reported as the median of N runs, which is
-/// what the regression gate compares -- medians shrug off the one-off
-/// scheduling hiccups that make single-shot walls flap. Exits with status 1
-/// on a dangling or non-positive N.
+/// (default 1). Walls are then reported as the median of N runs: medians
+/// shrug off the one-off scheduling hiccups that make single-shot walls
+/// flap. Exits with status 1 on a dangling or non-positive N.
 inline unsigned takeRepeatFlag(int &Argc, char **Argv) {
   unsigned Repeat = 1;
   int Out = 1;
@@ -96,25 +95,16 @@ inline unsigned takeRepeatFlag(int &Argc, char **Argv) {
   return Repeat;
 }
 
-/// Median of \p Samples (sorted in place); 0 when empty. Even sizes
-/// average the two middle samples.
-inline double medianOf(std::vector<double> &Samples) {
-  if (Samples.empty())
-    return 0.0;
+/// Runs \p F() \p Repeat (>= 1) times and \returns the median of its
+/// returned wall-clock samples; even counts average the two middle samples.
+template <typename Fn> inline double medianWall(unsigned Repeat, Fn &&F) {
+  std::vector<double> Samples;
+  for (unsigned I = 0; I < Repeat; ++I)
+    Samples.push_back(F());
   std::sort(Samples.begin(), Samples.end());
   size_t N = Samples.size();
   return N % 2 ? Samples[N / 2]
                : 0.5 * (Samples[N / 2 - 1] + Samples[N / 2]);
-}
-
-/// Runs \p F() \p Repeat times and \returns the median of its returned
-/// wall-clock samples.
-template <typename Fn> inline double medianWall(unsigned Repeat, Fn &&F) {
-  std::vector<double> Samples;
-  Samples.reserve(Repeat);
-  for (unsigned I = 0; I < Repeat; ++I)
-    Samples.push_back(F());
-  return medianOf(Samples);
 }
 
 /// Writes the finished --json document to \p Path ('-' = stdout).

@@ -5,13 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One arc-iteration path for every iterative DFS in the automata layer.
-///
-/// PR 5 left the per-frame arc cache duplicated three ways: the blue and
-/// red stacks of NestedDfs and sccDecompose's TFrame each carried their own
-/// `const std::vector<Arc> *` plus cursor, and UselessStateRemover's frames
-/// heap-allocated a fresh successor vector per state. The Couvreur engine
-/// would have added a fourth copy. Two helpers remove the duplication:
+/// One arc-iteration path for every iterative DFS in the automata layer
+/// (sccDecompose, UselessStateRemover and the Couvreur engine), so no
+/// search carries its own arc pointer plus cursor or heap-allocates a
+/// successor vector per state. Two helpers:
 ///
 /// * ExplicitArcFrame -- a cached span over Buchi::arcsFrom for explicit
 ///   automata. arcsFrom's row reference is stable while no state is added,

@@ -193,11 +193,7 @@ DifferenceResult termcheck::difference(const Buchi &A, ComplementOracle &BC,
                                Out.ComplementStatesDiscovered);
   };
 
-  const bool WantCouvreur =
-      Opts.Emptiness == EmptinessStrategy::Couvreur ||
-      (Opts.Emptiness == EmptinessStrategy::Auto && Opts.EmptinessOnly);
-
-  if (WantCouvreur) {
+  if (Opts.Emptiness == EmptinessStrategy::Couvreur) {
     // The Couvreur/Tarjan engine answers emptiness first. When the
     // difference is empty this replaces Algorithm 1 AND the
     // materialization; when it is nonempty and the caller wants the

@@ -41,11 +41,8 @@ struct DifferenceOptions {
   /// historical Algorithm 1 path. Couvreur runs the on-stack-cutoff SCC
   /// search first: an empty verdict skips Algorithm 1 and materialization
   /// entirely, a nonempty one falls through to the (arc-memo-warm)
-  /// materializing path unless EmptinessOnly is set. Auto picks Couvreur
-  /// for emptiness-only queries and GaiserSchwoon otherwise (the
-  /// materialization needs Algorithm 1's useful/useless classification
-  /// anyway, so a pre-pass is only worth it when explicitly requested).
-  EmptinessStrategy Emptiness = EmptinessStrategy::Auto;
+  /// materializing path unless EmptinessOnly is set.
+  EmptinessStrategy Emptiness = EmptinessStrategy::GaiserSchwoon;
   /// The caller only needs IsEmpty (language-inclusion queries): skip the
   /// materialization, and let the engines stop at the first accepting SCC.
   bool EmptinessOnly = false;

@@ -20,8 +20,6 @@ const char *termcheck::emptinessStrategyName(EmptinessStrategy S) {
     return "gaiser_schwoon";
   case EmptinessStrategy::Couvreur:
     return "couvreur";
-  case EmptinessStrategy::Auto:
-    return "auto";
   }
   return "?";
 }
@@ -34,10 +32,6 @@ bool termcheck::emptinessStrategyFromName(std::string_view Name,
   }
   if (Name == "couvreur") {
     S = EmptinessStrategy::Couvreur;
-    return true;
-  }
-  if (Name == "auto") {
-    S = EmptinessStrategy::Auto;
     return true;
   }
   return false;
@@ -73,8 +67,8 @@ EmptinessResult termcheck::checkEmptiness(const Buchi &A, EmptinessStrategy S,
     return E.check(Src, Base);
   }
 
-  // Couvreur; Auto resolves here because an explicit query is always
-  // emptiness-only, which is exactly where the early cutoffs pay off.
+  // Couvreur. An explicit query is always emptiness-only, which is exactly
+  // where the early cutoffs pay off.
   std::optional<SimulationRelation> Sim;
   if (!Base.SubsumedBy && A.numStates() <= SimulationStateCap) {
     Sim = computeDirectSimulation(A, Base.ShouldAbort);

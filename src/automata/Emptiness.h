@@ -42,10 +42,6 @@ enum class EmptinessStrategy : uint8_t {
   GaiserSchwoon,
   /// Couvreur/Tarjan with on-stack simulation cutoffs.
   Couvreur,
-  /// GaiserSchwoon for materializing differences (whose useful/useless
-  /// classification the materialization needs anyway), Couvreur for
-  /// emptiness-only queries where the early cutoffs are a strict win.
-  Auto,
 };
 
 const char *emptinessStrategyName(EmptinessStrategy S);
@@ -130,13 +126,12 @@ public:
   EmptinessResult check(GbaSource &Src, const EmptinessOptions &Opts) override;
 };
 
-/// Emptiness of an explicit GBA under strategy \p S. For Couvreur (and
-/// Auto, which resolves to Couvreur here -- an explicit query is always
-/// emptiness-only) a direct-simulation preorder is computed as the cutoff
-/// relation while the automaton is at most SimulationStateCap states
-/// (the relation is quadratic); beyond the cap Couvreur still runs, with
-/// the closed-state cutoff only. Fields already set in \p Base (hooks,
-/// FindWitness, budget) are preserved.
+/// Emptiness of an explicit GBA under strategy \p S. For Couvreur a
+/// direct-simulation preorder is computed as the cutoff relation while the
+/// automaton is at most SimulationStateCap states (the relation is
+/// quadratic); beyond the cap Couvreur still runs, with the closed-state
+/// cutoff only. Fields already set in \p Base (hooks, FindWitness, budget)
+/// are preserved.
 inline constexpr uint32_t SimulationStateCap = 2048;
 EmptinessResult checkEmptiness(const Buchi &A, EmptinessStrategy S,
                                EmptinessOptions Base = {});

@@ -207,36 +207,13 @@ Buchi termcheck::intersect(const Buchi &A, const Buchi &B) {
   return Out;
 }
 
-Buchi termcheck::unionBa(const Buchi &A, const Buchi &B) {
-  assert(A.numSymbols() == B.numSymbols() && "alphabet mismatch");
-  assert(A.numConditions() == 1 && B.numConditions() == 1 &&
-         "union expects plain BAs");
-  Buchi Out(A.numSymbols(), 1);
-  State BaseA = Out.addStates(A.numStates());
-  State BaseB = Out.addStates(B.numStates());
-  for (State S = 0; S < A.numStates(); ++S) {
-    Out.setAcceptMask(BaseA + S, A.acceptMask(S));
-    for (const Buchi::Arc &Arc : A.arcsFrom(S))
-      Out.addTransition(BaseA + S, Arc.Sym, BaseA + Arc.To);
-  }
-  for (State S = 0; S < B.numStates(); ++S) {
-    Out.setAcceptMask(BaseB + S, B.acceptMask(S));
-    for (const Buchi::Arc &Arc : B.arcsFrom(S))
-      Out.addTransition(BaseB + S, Arc.Sym, BaseB + Arc.To);
-  }
-  for (State S : A.initials().elems())
-    Out.addInitial(BaseA + S);
-  for (State S : B.initials().elems())
-    Out.addInitial(BaseB + S);
-  return Out;
-}
-
 std::optional<bool> termcheck::isIncludedIn(const Buchi &A, const Buchi &B) {
   assert(A.numSymbols() == B.numSymbols() && "alphabet mismatch");
   // A pure language-inclusion query never needs the materialized
-  // difference, so let the engine stop at the first accepting SCC (and
-  // the Auto strategy run Couvreur with its on-stack cutoffs).
+  // difference, so the Couvreur engine answers it alone, stopping at the
+  // first accepting SCC and pruning with its on-stack cutoffs.
   DifferenceOptions Opts;
+  Opts.Emptiness = EmptinessStrategy::Couvreur;
   Opts.EmptinessOnly = true;
   Buchi Complete = completeWithSink(B);
   if (Complete.isDeterministic()) {
@@ -248,16 +225,4 @@ std::optional<bool> termcheck::isIncludedIn(const Buchi &A, const Buchi &B) {
     return std::nullopt;
   NcsbOracle O(*Prepared, NcsbVariant::Lazy);
   return difference(A, O, Opts).IsEmpty;
-}
-
-std::optional<bool> termcheck::isEquivalent(const Buchi &A, const Buchi &B) {
-  std::optional<bool> AB = isIncludedIn(A, B);
-  if (!AB)
-    return std::nullopt;
-  if (!*AB)
-    return false;
-  std::optional<bool> BA = isIncludedIn(B, A);
-  if (!BA)
-    return std::nullopt;
-  return *BA;
 }

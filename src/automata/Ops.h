@@ -50,19 +50,11 @@ Buchi dropFullConditions(const Buchi &A);
 /// with at most (k + 1) * |Q| states (counter construction).
 Buchi degeneralize(const Buchi &A);
 
-/// Disjoint union: L = L(A) or L(B). Both operands must be plain BAs over
-/// the same alphabet.
-Buchi unionBa(const Buchi &A, const Buchi &B);
-
 /// Language inclusion L(A) subseteq L(B) for a semideterministic (or
 /// deterministic) B, decided through the paper's machinery: complement B
 /// with NCSB (or Kurshan) and test emptiness of the on-the-fly difference.
 /// \returns std::nullopt when B is not semideterministic.
 std::optional<bool> isIncludedIn(const Buchi &A, const Buchi &B);
-
-/// Language equivalence via two inclusion checks (same restriction on both
-/// operands as isIncludedIn).
-std::optional<bool> isEquivalent(const Buchi &A, const Buchi &B);
 
 } // namespace termcheck
 

@@ -76,11 +76,10 @@ struct AnalyzerOptions {
   /// Module complementation strategy (see ComplementStrategy).
   ComplementStrategy Complement = ComplementStrategy::Auto;
   /// Which emptiness engine the difference construction runs (the
-  /// --emptiness CLI axis; see EmptinessStrategy). Auto keeps Algorithm 1
-  /// for materializing subtractions and uses the Couvreur engine for
-  /// emptiness-only queries; Couvreur forces the on-stack-cutoff engine to
-  /// answer emptiness first on every subtraction.
-  EmptinessStrategy Emptiness = EmptinessStrategy::Auto;
+  /// --emptiness CLI axis; see EmptinessStrategy). GaiserSchwoon runs
+  /// Algorithm 1 on every subtraction; Couvreur makes the on-stack-cutoff
+  /// engine answer emptiness first on every subtraction.
+  EmptinessStrategy Emptiness = EmptinessStrategy::GaiserSchwoon;
   /// Subsumption antichain in the difference construction (Section 6).
   bool UseSubsumption = true;
   /// Wall-clock budget in seconds (0 = unlimited).

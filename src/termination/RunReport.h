@@ -9,9 +9,8 @@
 /// run, carrying everything the paper's evaluation (Section 7) tabulates
 /// per run -- verdict, per-stage module census, per-stage wall-clock
 /// timers, difference-construction sizes, portfolio entrant timelines --
-/// in one schema shared by `termcheck --stats-json`, `bench_portfolio
-/// --json`, and the bench harness snapshots, so BENCH_*.json trajectories
-/// have a single source of truth.
+/// in one schema shared by `termcheck --stats-json`, termcheckd's result
+/// lines and the figure harnesses' `--json` documents.
 ///
 /// Schema stability: `schema` names the document kind and
 /// `schema_version` is bumped on any breaking change; consumers must
@@ -65,9 +64,9 @@ struct RunReportInput {
 };
 
 /// Writes the report's key/value fields into \p W. The enclosing object
-/// must already be open and is left open, so harnesses can embed the
-/// run-report schema inside their own documents and append extra
-/// harness-specific members (bench_portfolio does).
+/// must already be open and is left open, so callers can embed the
+/// run-report schema inside their own documents (bench_fig5_multistage
+/// and termcheckd's job reports do) or append members of their own.
 void writeRunReportFields(json::Writer &W, const RunReportInput &In,
                           const RunReportOptions &Opts = {});
 

@@ -10,8 +10,14 @@
 ///  * 200+ seeded product differentials: Gaiser-Schwoon and Couvreur must
 ///    agree on every emptiness-only difference, and every witness an engine
 ///    returns must be a word of L(A) \ L(B) replayed against the originals,
+///  * self-differences L(A) \ L(A) through the NCSB-Lazy and the modular
+///    complement must come out empty under both engines,
 ///  * randomized explicit queries: checkEmptiness under every strategy vs
-///    the reference isEmpty(), witnesses replayed,
+///    the reference isEmpty(), witnesses replayed, on plain BAs and on
+///    degeneralized 2-condition GBAs,
+///  * the small program suite and the on-disk corpus end to end: the
+///    analyzer's verdicts under Gaiser-Schwoon and under Couvreur must
+///    agree,
 ///  * cutoff-soundness units on the deep-SCC family: the structural
 ///    subsumption oracle drives the on-stack and closed-state cutoffs and
 ///    must never change a verdict, only shrink the explored set,
@@ -25,7 +31,10 @@
 #include "automata/Emptiness.h"
 
 #include "automata/Difference.h"
+#include "automata/ModularComplement.h"
 #include "automata/Ncsb.h"
+#include "automata/Ops.h"
+#include "benchgen/ProgramFamilies.h"
 #include "benchgen/RandomAutomata.h"
 #include "program/Parser.h"
 #include "support/Error.h"
@@ -122,9 +131,81 @@ TEST(EmptinessEquivalence, ProductDifferentialsAgreeAcrossEngines) {
   EXPECT_EQ(Witnessed, Nonempty);
 }
 
+TEST(EmptinessEquivalence, SelfDifferencesAreEmptyUnderBothEngines) {
+  // L(A) \ L(A) is empty whatever the complement construction; both
+  // engines must say so on emptiness-only queries. Covers the NCSB-Lazy
+  // oracle on random SDBAs and the modular (mix-and-match) oracle on
+  // class-mixed automata.
+  const EmptinessStrategy Engines[2] = {EmptinessStrategy::GaiserSchwoon,
+                                        EmptinessStrategy::Couvreur};
+  Rng R(0xE3550002);
+  size_t Ncsb = 0, Modular = 0;
+  for (int I = 0; I < 60; ++I) {
+    Buchi A = randomSdba(R, 1 + static_cast<uint32_t>(R.below(4)),
+                         2 + static_cast<uint32_t>(R.below(6)), 2);
+    std::optional<Sdba> S = prepareSdba(A);
+    if (!S)
+      continue;
+    ++Ncsb;
+    for (EmptinessStrategy E : Engines) {
+      NcsbOracle O(*S, NcsbVariant::Lazy);
+      DifferenceOptions DO;
+      DO.Emptiness = E;
+      DO.EmptinessOnly = true;
+      DifferenceResult Res = difference(A, O, DO);
+      ASSERT_FALSE(Res.Aborted) << "sdba " << I;
+      EXPECT_TRUE(Res.IsEmpty) << "sdba " << I << ": NCSB self-difference "
+                               << "nonempty under " << Res.EmptinessEngine;
+    }
+  }
+  for (int Draw = 0; Draw < 300 && Modular < 30; ++Draw) {
+    ClassMixedSpec Spec;
+    Spec.PrefixStates = 1 + static_cast<uint32_t>(R.below(3));
+    Spec.DetStates = static_cast<uint32_t>(R.below(3));
+    Spec.WeakStates = static_cast<uint32_t>(R.below(3));
+    Spec.SemiStates = static_cast<uint32_t>(R.below(3));
+    Spec.GeneralStates = static_cast<uint32_t>(R.below(3));
+    if (Spec.GeneralStates)
+      Spec.PrefixStates = 1;
+    if (Spec.DetStates + Spec.WeakStates + Spec.SemiStates +
+            Spec.GeneralStates ==
+        0)
+      continue;
+    Buchi A = randomClassMixedBa(R, Spec);
+    // A few seeds blow the self-difference product up to tens of
+    // thousands of macrostates; the cap skips them, keeping the sweep to
+    // instances both engines finish in milliseconds.
+    bool Skipped = false;
+    for (EmptinessStrategy E : Engines) {
+      auto Mod = buildModularComplement(A);
+      if (!Mod) {
+        Skipped = true;
+        break;
+      }
+      DifferenceOptions DO;
+      DO.Emptiness = E;
+      DO.EmptinessOnly = true;
+      DO.MaxProductStates = 1000;
+      DifferenceResult Res = difference(A, *Mod, DO);
+      if (Res.HitStateCap) {
+        Skipped = true;
+        break;
+      }
+      ASSERT_FALSE(Res.Aborted) << "class-mixed " << Modular;
+      EXPECT_TRUE(Res.IsEmpty)
+          << "class-mixed " << Modular << ": modular self-difference "
+          << "nonempty under " << Res.EmptinessEngine << "\n" << A.str();
+    }
+    if (!Skipped)
+      ++Modular;
+  }
+  EXPECT_GE(Ncsb, 30u);
+  EXPECT_EQ(Modular, 30u);
+}
+
 TEST(EmptinessEquivalence, ExplicitQueriesMatchReference) {
   // checkEmptiness on explicit automata vs the reference decision
-  // procedure, all three strategies, witnesses replayed.
+  // procedure, both strategies, witnesses replayed.
   Rng R(0xD1FF0002);
   size_t Nonempty = 0;
   for (int I = 0; I < 100; ++I) {
@@ -134,8 +215,7 @@ TEST(EmptinessEquivalence, ExplicitQueriesMatchReference) {
     Buchi A = randomBa(R, Spec);
     bool Ref = isEmpty(A);
     for (EmptinessStrategy S :
-         {EmptinessStrategy::GaiserSchwoon, EmptinessStrategy::Couvreur,
-          EmptinessStrategy::Auto}) {
+         {EmptinessStrategy::GaiserSchwoon, EmptinessStrategy::Couvreur}) {
       EmptinessOptions EO;
       EO.FindWitness = true;
       EmptinessResult Res = checkEmptiness(A, S, EO);
@@ -154,6 +234,48 @@ TEST(EmptinessEquivalence, ExplicitQueriesMatchReference) {
   }
   EXPECT_GT(Nonempty, 10u);
   EXPECT_LT(Nonempty, 100u);
+
+  // Degeneralized 2-condition GBAs: the counter construction must preserve
+  // emptiness, so every engine on degeneralize(G) agrees with the
+  // reference decision on G itself.
+  Rng G2(911);
+  size_t DegenNonempty = 0;
+  for (int I = 0; I < 40; ++I) {
+    Buchi G(2, 2);
+    uint32_t N = 3 + static_cast<uint32_t>(G2.below(4));
+    G.addStates(N);
+    G.addInitial(0);
+    for (State S = 0; S < N; ++S) {
+      if (G2.chance(1, 3))
+        G.setAccepting(S, 0);
+      if (G2.chance(1, 3))
+        G.setAccepting(S, 1);
+      for (Symbol Sym = 0; Sym < 2; ++Sym)
+        G.addTransition(S, Sym, static_cast<State>(G2.below(N)));
+    }
+    Buchi D = degeneralize(G);
+    bool Ref = isEmpty(G);
+    if (!Ref)
+      ++DegenNonempty;
+    for (EmptinessStrategy S :
+         {EmptinessStrategy::GaiserSchwoon, EmptinessStrategy::Couvreur}) {
+      EmptinessOptions EO;
+      EO.FindWitness = true;
+      EmptinessResult Res = checkEmptiness(D, S, EO);
+      ASSERT_FALSE(Res.Aborted);
+      EXPECT_EQ(Res.IsEmpty, Ref)
+          << "degeneralized GBA " << I << " under "
+          << emptinessStrategyName(S) << "\n" << G.str();
+      if (!Res.IsEmpty) {
+        ASSERT_TRUE(Res.Witness.has_value());
+        EXPECT_TRUE(acceptsLasso(G, *Res.Witness))
+            << "degeneralized GBA " << I << " under "
+            << emptinessStrategyName(S);
+      }
+    }
+  }
+  EXPECT_GT(DegenNonempty, 0u);
+  EXPECT_LT(DegenNonempty, 40u);
 }
 
 TEST(EmptinessEquivalence, CutoffsAreSoundOnDeepSccFamily) {
@@ -237,6 +359,48 @@ std::vector<std::pair<std::string, Program>> loadCorpusPrograms() {
 }
 
 } // namespace
+
+TEST(EmptinessEquivalence, AnalyzerVerdictsAgreeAcrossEngines) {
+  // The engines must be interchangeable inside the whole refinement loop,
+  // not just on isolated queries. On the small program suite and the
+  // on-disk corpus, every run that ends conclusive under both engines
+  // reaches the same verdict with the same number of certified modules:
+  // a nonempty Couvreur answer falls through to the same Algorithm 1
+  // materialization, so the refinement sequence cannot differ, and an
+  // engine that wrongly reports an empty remainder stops early.
+  std::vector<std::pair<std::string, Program>> Programs = loadCorpusPrograms();
+  for (const BenchProgram &B : smallBenchmarkSuite()) {
+    ParseResult Parsed = parseProgram(B.Source);
+    ASSERT_TRUE(Parsed.ok()) << B.Name << ": " << Parsed.Error;
+    Programs.emplace_back(B.Name, std::move(*Parsed.Prog));
+  }
+  size_t Compared = 0;
+  for (const auto &[Name, Prog] : Programs) {
+    AnalysisResult R[2];
+    const EmptinessStrategy Engines[2] = {EmptinessStrategy::GaiserSchwoon,
+                                          EmptinessStrategy::Couvreur};
+    for (int E = 0; E < 2; ++E) {
+      AnalyzerOptions Opts;
+      Opts.Emptiness = Engines[E];
+      Opts.TimeoutSeconds = 5;
+      Opts.MaxIterations = 80;
+      Program Local = Prog;
+      TerminationAnalyzer A(Local, Opts);
+      R[E] = A.run();
+    }
+    if (isConclusive(R[0].V) && isConclusive(R[1].V)) {
+      EXPECT_EQ(R[0].V, R[1].V) << Name << ": gaiser_schwoon and couvreur "
+                                << "reach different verdicts";
+      EXPECT_EQ(R[0].Modules.size(), R[1].Modules.size())
+          << Name << ": gaiser_schwoon and couvreur certify different "
+          << "module counts";
+      ++Compared;
+    }
+  }
+  // Nearly every program is conclusive under both engines; a sweep that
+  // compares few would make the agreement above vacuous.
+  EXPECT_GE(Compared, Programs.size() - 4);
+}
 
 TEST(EmptinessEquivalence, FullRosterIsDeterministicSequentially) {
   // The 18-entry roster includes the two Couvreur entrants; under Jobs == 1

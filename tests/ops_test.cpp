@@ -1,4 +1,4 @@
-//===- tests/ops_test.cpp - Union, inclusion, DOT export ------------------===//
+//===- tests/ops_test.cpp - Inclusion, DOT export -------------------------===//
 //
 // Part of the termcheck project (PLDI'18 reproduction).
 //
@@ -6,7 +6,6 @@
 
 #include "automata/Dot.h"
 #include "automata/Ops.h"
-#include "automata/Scc.h"
 #include "benchgen/RandomAutomata.h"
 
 #include <gtest/gtest.h>
@@ -23,29 +22,6 @@ Buchi onlySymbolForever(Symbol Sym) {
   A.setAccepting(S);
   A.addTransition(S, Sym, S);
   return A;
-}
-
-TEST(UnionBa, AcceptsBothOperands) {
-  Buchi U = unionBa(onlySymbolForever(0), onlySymbolForever(1));
-  EXPECT_TRUE(acceptsLasso(U, {{}, {0}}));
-  EXPECT_TRUE(acceptsLasso(U, {{}, {1}}));
-  EXPECT_FALSE(acceptsLasso(U, {{}, {0, 1}}));
-}
-
-TEST(UnionBa, PropertyMembershipIsDisjunction) {
-  Rng R(606);
-  for (int Iter = 0; Iter < 40; ++Iter) {
-    RandomAutomatonSpec Spec;
-    Spec.NumStates = 2 + static_cast<uint32_t>(R.below(4));
-    Spec.NumSymbols = 2;
-    Buchi A = randomBa(R, Spec);
-    Buchi B = randomBa(R, Spec);
-    Buchi U = unionBa(A, B);
-    for (int W = 0; W < 20; ++W) {
-      LassoWord L = randomLasso(R, 2, 3, 3);
-      EXPECT_EQ(acceptsLasso(U, L), acceptsLasso(A, L) || acceptsLasso(B, L));
-    }
-  }
 }
 
 TEST(Inclusion, BasicCases) {
@@ -91,20 +67,15 @@ TEST(Inclusion, ReturnsNulloptForNonSdbaRhs) {
   EXPECT_FALSE(isIncludedIn(A, B).has_value());
 }
 
-TEST(Inclusion, EquivalenceOfUnionWithItself) {
+TEST(Inclusion, SelfInclusionOnRandomDbas) {
+  // Deterministic right-hand sides take the DBA-complement path.
   Rng R(808);
-  Buchi A = randomDba(R, 4, 2);
-  Buchi U = unionBa(A, A);
-  // U is typically not deterministic, but its SDBA-ness holds when A's
-  // accepting parts stay deterministic per copy... just check inclusion of
-  // A in U, which only complements U's copies when possible.
-  auto Res = isIncludedIn(A, A);
-  ASSERT_TRUE(Res.has_value());
-  EXPECT_TRUE(*Res);
-  auto Eq = isEquivalent(A, A);
-  ASSERT_TRUE(Eq.has_value());
-  EXPECT_TRUE(*Eq);
-  (void)U;
+  for (int Iter = 0; Iter < 20; ++Iter) {
+    Buchi A = randomDba(R, 4, 2);
+    auto Res = isIncludedIn(A, A);
+    ASSERT_TRUE(Res.has_value());
+    EXPECT_TRUE(*Res);
+  }
 }
 
 TEST(Dot, RendersStatesEdgesAndAcceptance) {

@@ -163,7 +163,7 @@ TEST(Portfolio, RosterIsDiverseAndClamped) {
         << Configs[I].Name;
   }
   for (size_t I = 0; I < 16; ++I)
-    EXPECT_EQ(Configs[I].Opts.Emptiness, EmptinessStrategy::Auto)
+    EXPECT_EQ(Configs[I].Opts.Emptiness, EmptinessStrategy::GaiserSchwoon)
         << Configs[I].Name;
   for (size_t I = 16; I < 18; ++I) {
     EXPECT_EQ(Configs[I].Opts.Emptiness, EmptinessStrategy::Couvreur)

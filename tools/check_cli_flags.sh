@@ -5,7 +5,12 @@
 # --jobs, --max-states, and --portfolio must be rejected with exit code 4
 # and a structured diagnostic naming the flag, never silently parsed as
 # zero (the old atof/atol behavior turned "--timeout 1O" into an instant
-# timeout). Well-formed values must still be accepted.
+# timeout). Well-formed values must still be accepted. The enumerated
+# flags (--complement, --emptiness) get the same structured rejection.
+#
+# Machine-readable output on stdout (--stats-json -, --trace -) must leave
+# stdout parseable: the human-readable lines then go to stderr. These
+# checks need jq.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -79,5 +84,40 @@ expect_reject --complement bogus
 expect_reject --complement ""
 expect_accept --complement auto
 expect_accept --complement modular
+expect_reject --emptiness bogus
+expect_reject --emptiness ""
+expect_reject --emptiness auto
+expect_accept --emptiness gaiser_schwoon
+expect_accept --emptiness couvreur
+
+if ! command -v jq >/dev/null 2>&1; then
+  echo "FAIL stdout checks need jq on PATH" >&2
+  exit 1
+fi
+
+# expect_json_stdout <jq-filter> <flags...>: stdout must satisfy the filter
+# (slurped, so a JSONL stream is one array) and stderr must carry the
+# verdict line, with and without --quiet.
+expect_json_stdout() {
+  FILTER=$1
+  shift
+  for QUIET in "" --quiet; do
+    ERR=$("$BIN" $QUIET "$@" "$PROG" 2>&1 >/dev/null)
+    if ! "$BIN" $QUIET "$@" "$PROG" 2>/dev/null | jq -e -s "$FILTER" \
+         >/dev/null; then
+      echo "FAIL $* $QUIET: stdout fails jq -s '$FILTER'" >&2
+      FAIL=1
+    elif ! printf '%s' "$ERR" | grep -q ': TERMINATING$'; then
+      echo "FAIL $* $QUIET: verdict line not on stderr: $ERR" >&2
+      FAIL=1
+    else
+      echo "ok   stdout is JSON for $* $QUIET"
+    fi
+  done
+}
+
+expect_json_stdout 'length == 1 and .[0].schema == "termcheck-run-report"' \
+  --stats-json -
+expect_json_stdout 'length > 0 and all(.[]; type == "object")' --trace -
 
 exit $FAIL

@@ -13,8 +13,9 @@
 ///     --sequence <i|ii|iii>  stage sequence of Section 7 (default i)
 ///     --ncsb <lazy|original> SDBA complementation variant (default lazy)
 ///     --complement <auto|modular> module complementation strategy
-///     --emptiness <auto|gaiser_schwoon|couvreur>
-///                         difference emptiness engine (default auto)
+///     --emptiness <gaiser_schwoon|couvreur>
+///                         difference emptiness engine
+///                         (default gaiser_schwoon)
 ///     --no-subsumption    disable the Section 6 antichain
 ///     --portfolio <K>     race the first K default configurations (1..18)
 ///     --jobs <N>          portfolio worker threads (default: all cores;
@@ -37,6 +38,10 @@
 ///                         ('-' = stdout); schema "termcheck-run-report"
 ///     --trace <f>         stream typed trace events as JSONL to f
 ///                         ('-' = stdout)
+///
+/// When the report or the trace goes to stdout, the human-readable lines
+/// (verdict, time and modules, statistics, witness) go to stderr instead,
+/// so stdout stays machine-parseable.
 ///     --stats-deterministic
 ///                         zero wall-clock values in the JSON report so
 ///                         two Jobs=1 runs emit byte-identical reports
@@ -89,11 +94,12 @@ void usage(const char *Prog) {
       "                          module complementation strategy: 'modular'\n"
       "                          decomposes modules by accepting SCC and\n"
       "                          intersects per-class partial complements\n"
-      "  --emptiness <auto|gaiser_schwoon|couvreur>\n"
+      "  --emptiness <gaiser_schwoon|couvreur>\n"
       "                          difference emptiness engine: 'couvreur'\n"
       "                          answers every subtraction with the\n"
       "                          on-stack-cutoff Couvreur/Tarjan SCC search\n"
-      "                          before materializing (default auto)\n"
+      "                          before materializing (default\n"
+      "                          gaiser_schwoon)\n"
       "  --no-subsumption        disable the antichain optimization\n"
       "  --portfolio <K>         race the first K default configurations\n"
       "                          (1..18) and report the first conclusive\n"
@@ -113,9 +119,10 @@ void usage(const char *Prog) {
       "  --dot-modules           print each module as Graphviz\n"
       "  --quiet                 print the verdict only\n"
       "  --stats-json <file>     write a versioned JSON run report\n"
-      "                          ('-' = stdout)\n"
+      "                          ('-' = stdout; the human-readable\n"
+      "                          output then goes to stderr)\n"
       "  --trace <file>          stream typed trace events as JSON lines\n"
-      "                          ('-' = stdout)\n"
+      "                          ('-' = stdout; likewise)\n"
       "  --stats-deterministic   zero wall-clock values in the JSON report\n"
       "                          (byte-identical reports with --jobs 1)\n",
       Prog);
@@ -212,8 +219,7 @@ int runMain(int Argc, char **Argv) {
     } else if (std::strcmp(Arg, "--emptiness") == 0) {
       const char *V = NeedsValue("--emptiness");
       if (!emptinessStrategyFromName(V, Opts.Emptiness))
-        badValue("--emptiness", V,
-                 "'auto', 'gaiser_schwoon', or 'couvreur'");
+        badValue("--emptiness", V, "'gaiser_schwoon' or 'couvreur'");
     } else if (std::strcmp(Arg, "--no-subsumption") == 0) {
       Opts.UseSubsumption = false;
     } else if (std::strcmp(Arg, "--no-nonterm") == 0) {
@@ -355,43 +361,51 @@ int runMain(int Argc, char **Argv) {
     Result = Analyzer.run();
   }
 
-  std::printf("%s: %s\n", P.name().c_str(), verdictName(Result.V));
+  // A machine-readable stream on stdout keeps stdout to itself.
+  const bool StdoutIsMachine =
+      (StatsJsonPath && std::strcmp(StatsJsonPath, "-") == 0) ||
+      (TracePath && std::strcmp(TracePath, "-") == 0);
+  std::FILE *Human = StdoutIsMachine ? stderr : stdout;
+  std::ostream &HumanOS = StdoutIsMachine ? std::cerr : std::cout;
+
+  std::fprintf(Human, "%s: %s\n", P.name().c_str(), verdictName(Result.V));
   if (!Quiet) {
     if (!WinnerNote.empty())
-      std::printf("%s\n", WinnerNote.c_str());
-    std::printf("time: %.3f s, modules: %zu\n", Result.Seconds,
-                Result.Modules.size());
+      std::fprintf(Human, "%s\n", WinnerNote.c_str());
+    std::fprintf(Human, "time: %.3f s, modules: %zu\n", Result.Seconds,
+                 Result.Modules.size());
     for (size_t I = 0; I < Result.Modules.size(); ++I) {
       const CertifiedModule &M = Result.Modules[I];
-      std::printf("  M%zu: %s, %u states, f = %s\n", I + 1,
-                  moduleKindName(M.Kind), M.A.numStates(),
-                  M.Rank.str(P.vars()).c_str());
+      std::fprintf(Human, "  M%zu: %s, %u states, f = %s\n", I + 1,
+                   moduleKindName(M.Kind), M.A.numStates(),
+                   M.Rank.str(P.vars()).c_str());
       if (DotModules)
-        std::printf("%s", toDot(M.A, SymName,
-                                "module" + std::to_string(I + 1))
-                              .c_str());
+        std::fprintf(Human, "%s",
+                     toDot(M.A, SymName, "module" + std::to_string(I + 1))
+                         .c_str());
     }
     if (Result.Counterexample) {
-      std::printf("counterexample lasso:\n  stem:");
+      std::fprintf(Human, "counterexample lasso:\n  stem:");
       for (Symbol S : Result.Counterexample->Stem)
-        std::printf(" [%s]", SymName(S).c_str());
-      std::printf("\n  loop:");
+        std::fprintf(Human, " [%s]", SymName(S).c_str());
+      std::fprintf(Human, "\n  loop:");
       for (Symbol S : Result.Counterexample->Loop)
-        std::printf(" [%s]", SymName(S).c_str());
-      std::printf("\n");
+        std::fprintf(Human, " [%s]", SymName(S).c_str());
+      std::fprintf(Human, "\n");
     }
     if (Result.Nonterm && !Witness)
-      std::printf("nontermination certificate: %s (use --witness to print)\n",
-                  Result.Nonterm->Kind == NontermKind::RecurrentSet
-                      ? "closed recurrent set"
-                      : "executable cycle");
+      std::fprintf(Human,
+                   "nontermination certificate: %s (use --witness to print)\n",
+                   Result.Nonterm->Kind == NontermKind::RecurrentSet
+                       ? "closed recurrent set"
+                       : "executable cycle");
     if (UsedPortfolio)
-      PR.Merged.print(std::cout);
+      PR.Merged.print(HumanOS);
     else
-      Result.Stats.print(std::cout);
+      Result.Stats.print(HumanOS);
   }
   if (Witness && Result.Nonterm)
-    std::printf("%s", Result.Nonterm->str(P).c_str());
+    std::fprintf(Human, "%s", Result.Nonterm->str(P).c_str());
 
   if (StatsJsonPath) {
     RunReportInput In;
