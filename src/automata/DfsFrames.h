@@ -6,9 +6,8 @@
 ///
 /// \file
 /// One arc-iteration path for every iterative DFS in the automata layer
-/// (sccDecompose, UselessStateRemover and the Couvreur engine), so no
-/// search carries its own arc pointer plus cursor or heap-allocates a
-/// successor vector per state. Two helpers:
+/// (sccDecompose and SccSearch), so no search carries its own arc pointer
+/// plus cursor or heap-allocates a successor vector per state. Two helpers:
 ///
 /// * ExplicitArcFrame -- a cached span over Buchi::arcsFrom for explicit
 ///   automata. arcsFrom's row reference is stable while no state is added,

@@ -6,7 +6,6 @@
 
 #include "automata/Difference.h"
 
-#include "automata/CouvreurEmptiness.h"
 #include "automata/Interner.h"
 #include "automata/PerfCounters.h"
 #include "support/FaultInjector.h"
@@ -48,6 +47,8 @@ public:
   }
 
   void arcs(State S, std::vector<Buchi::Arc> &Out) override {
+    if (EmptinessStepFaults)
+      FaultInjector::hit(FaultSite::EmptinessStep);
     if (S < ArcCached.size() && ArcCached[S]) {
       const std::vector<Buchi::Arc> &Hit = ArcCache[S];
       Out.insert(Out.end(), Hit.begin(), Hit.end());
@@ -80,6 +81,10 @@ public:
   size_t numProductStates() const { return Pairs.size(); }
   size_t numArcsMemoized() const { return MemoizedArcs; }
 
+  /// While set, every expansion is a FaultSite::EmptinessStep (the
+  /// Couvreur pass only).
+  bool EmptinessStepFaults = false;
+
 private:
   const Buchi &A;
   ComplementOracle &BC;
@@ -92,7 +97,66 @@ private:
   State intern(State P, State Q) { return Pairs.intern(P, Q).first; }
 };
 
+/// emp as a per-A-state antichain of complement macro-states, compared
+/// with the oracle's subsumption relation (Section 6, Eq. 10). A states are
+/// dense, so the per-state chains live in a flat vector.
+class EmpAntichain {
+public:
+  EmpAntichain(const ProductSource &Src, const ComplementOracle &BC)
+      : Src(Src), BC(BC) {}
+
+  /// Makes this antichain \p Search's emp set.
+  void attach(SccSearch &Search, size_t NumAStates) {
+    Chains.resize(NumAStates);
+    Search.IsKnownUseless = [this](State S) { return contains(S); };
+    Search.AddUseless = [this](State S) { add(S); };
+    Search.ResetUseless = [this] {
+      for (std::vector<State> &Chain : Chains)
+        Chain.clear();
+    };
+  }
+
+private:
+  const ProductSource &Src;
+  const ComplementOracle &BC;
+  std::vector<std::vector<State>> Chains;
+
+  bool contains(State S) const {
+    auto [P, Q] = Src.decode(S);
+    for (State R : Chains[P])
+      if (BC.subsumedBy(Q, R))
+        return true;
+    return false;
+  }
+
+  void add(State S) {
+    auto [P, Q] = Src.decode(S);
+    std::vector<State> &Chain = Chains[P];
+    // Keep only subsumption-maximal elements ("emp can be maintained in
+    // the form of an antichain", Section 6).
+    for (State R : Chain)
+      if (BC.subsumedBy(Q, R))
+        return;
+    size_t Keep = 0;
+    for (size_t I = 0; I < Chain.size(); ++I)
+      if (!BC.subsumedBy(Chain[I], Q))
+        Chain[Keep++] = Chain[I];
+    Chain.resize(Keep);
+    Chain.push_back(Q);
+  }
+};
+
 } // namespace
+
+const char *termcheck::emptinessStrategyName(EmptinessStrategy S) {
+  switch (S) {
+  case EmptinessStrategy::GaiserSchwoon:
+    return "gaiser_schwoon";
+  case EmptinessStrategy::Couvreur:
+    return "couvreur";
+  }
+  return "?";
+}
 
 DifferenceResult termcheck::difference(const Buchi &A, ComplementOracle &BC,
                                        const DifferenceOptions &Opts) {
@@ -100,7 +164,6 @@ DifferenceResult termcheck::difference(const Buchi &A, ComplementOracle &BC,
   assert(A.numConditions() + 1 <= 64 && "too many acceptance conditions");
 
   ProductSource Src(A, BC);
-  UselessStateRemover Remover;
   // Fold every budget into one hook: the caller's sticky deadline /
   // cancellation, the per-construction state cap, and the shared resource
   // guard. Cap trips are remembered separately so the caller can tell
@@ -129,54 +192,25 @@ DifferenceResult termcheck::difference(const Buchi &A, ComplementOracle &BC,
       return Outer && Outer();
     };
   }
-  Remover.ShouldAbort = Hook;
   // Thread the budget into the oracle too: one product expansion can hide
-  // an exponential NCSB split enumeration, and the remover only polls
+  // an exponential NCSB split enumeration, and the search only polls
   // between expansions.
   BC.ShouldAbort = Hook;
   // State budgets need prompt polls: with the default 256-call stride a
   // small construction finishes (or overshoots the cap by hundreds of
   // states) before the first evaluation. Pure wall-clock/cancellation
   // hooks keep the cheap sparse stride.
+  uint32_t PollStride = 256;
   if (Opts.MaxProductStates != 0 || Opts.Guard) {
-    Remover.PollStride = 8;
+    PollStride = 8;
     BC.setPollStride(8);
   }
-
-  // emp as a per-A-state antichain of complement macro-states, compared
-  // with the oracle's subsumption relation (Section 6, Eq. 10). Without
-  // subsumption the oracle relation degrades to equality, which makes this
-  // an exact set. A states are dense, so the per-state chains live in a
-  // flat vector instead of a hash map.
-  std::vector<std::vector<State>> Emp;
-  size_t SubsumptionPruned = 0;
-  if (Opts.UseSubsumption) {
-    Emp.resize(A.numStates());
-    Remover.IsKnownUseless = [&](State S) {
-      auto [P, Q] = Src.decode(S);
-      for (State R : Emp[P])
-        if (BC.subsumedBy(Q, R)) {
-          ++SubsumptionPruned;
-          return true;
-        }
-      return false;
-    };
-    Remover.AddUseless = [&](State S) {
-      auto [P, Q] = Src.decode(S);
-      std::vector<State> &Chain = Emp[P];
-      // Keep only subsumption-maximal elements ("emp can be maintained in
-      // the form of an antichain", Section 6).
-      for (State R : Chain)
-        if (BC.subsumedBy(Q, R))
-          return;
-      size_t Keep = 0;
-      for (size_t I = 0; I < Chain.size(); ++I)
-        if (!BC.subsumedBy(Chain[I], Q))
-          Chain[Keep++] = Chain[I];
-      Chain.resize(Keep);
-      Chain.push_back(Q);
-    };
-  }
+  auto NewSearch = [&](SccSearchMode Mode) {
+    SccSearch Search(Mode);
+    Search.ShouldAbort = Hook;
+    Search.PollStride = PollStride;
+    return Search;
+  };
 
   DifferenceResult Out{Buchi(A.numSymbols(), A.numConditions() + 1)};
   // A guard that is already exhausted (earlier subtraction, another
@@ -187,122 +221,73 @@ DifferenceResult termcheck::difference(const Buchi &A, ComplementOracle &BC,
     return Out;
   }
 
+  // Only completed constructions are charged: an aborted one frees its
+  // states on return, and charging it would double-bill retries.
   auto ChargeGuard = [&] {
     if (Opts.Guard)
       Opts.Guard->chargeStates(Out.ProductStatesExplored +
                                Out.ComplementStatesDiscovered);
   };
+  // Copies a search's outcome into Out; \returns false when it aborted.
+  // An oracle-side abort truncated some successor list, so the search saw
+  // an under-approximated product; that is as invalid as a search abort.
+  auto Record = [&](const SccSearchResult &R) {
+    Out.ProductStatesExplored = R.StatesExplored;
+    Out.ComplementStatesDiscovered = BC.numStatesDiscovered();
+    Out.SubsumptionPruned = R.ClosedCutoffs;
+    Out.ArcsMemoized = Src.numArcsMemoized();
+    Out.Aborted = R.Aborted || BC.aborted();
+    Out.HitStateCap = CapHit;
+    return !Out.Aborted;
+  };
 
   if (Opts.Emptiness == EmptinessStrategy::Couvreur) {
-    // The Couvreur/Tarjan engine answers emptiness first. When the
-    // difference is empty this replaces Algorithm 1 AND the
-    // materialization; when it is nonempty and the caller wants the
-    // automaton, Algorithm 1 below re-runs over the warm arc memo.
+    // A first-accepting pass with on-stack cutoffs answers emptiness
+    // first. When the difference is empty this replaces Algorithm 1 AND
+    // the materialization; when it is nonempty, the classify pass below
+    // re-runs over the warm arc memo.
     TraceSpan Span(Opts.Tracer, "emptiness.couvreur");
-    EmptinessOptions EO;
-    EO.ShouldAbort = Hook;
-    EO.PollStride = Remover.PollStride;
-    EO.FindWitness = Opts.WantWitness;
-    // The pre-pass keeps a PRIVATE antichain (per A state, like the
-    // remover's): entries added under a provisionally justified on-stack
-    // prune are discarded through ResetKnownEmpty on a cutoff restart, and
-    // must never leak into the remover's own antichain.
-    std::vector<std::vector<State>> Emp2;
+    SccSearch Pass = NewSearch(SccSearchMode::FirstAccepting);
+    // The pass keeps a PRIVATE antichain: entries added under a
+    // provisionally justified on-stack prune are discarded on a cutoff
+    // restart, and must never leak into Algorithm 1's.
+    EmpAntichain PassEmp(Src, BC);
     if (Opts.UseSubsumption) {
-      EO.SubsumedBy = [&Src, &BC](State Sub, State Sup) {
-        if (Sub == Sup)
-          return true; // syntactic fast path
-        auto [PA, QA] = Src.decode(Sub);
-        auto [PB, QB] = Src.decode(Sup);
-        return PA == PB && (QA == QB || BC.subsumedBy(QA, QB));
-      };
+      PassEmp.attach(Pass, A.numStates());
       // The on-stack cutoff needs an EARLY relation (DESIGN.md section
       // 17); the oracle knows whether its preorder qualifies.
-      EO.SubsumptionIsEarly = BC.subsumptionIsEarly();
-      Emp2.resize(A.numStates());
-      EO.IsKnownEmpty = [&Src, &BC, &Emp2](State S) {
-        auto [P, Q] = Src.decode(S);
-        for (State R : Emp2[P])
-          if (BC.subsumedBy(Q, R))
-            return true;
-        return false;
-      };
-      EO.AddKnownEmpty = [&Src, &BC, &Emp2](State S) {
-        auto [P, Q] = Src.decode(S);
-        std::vector<State> &Chain = Emp2[P];
-        for (State R : Chain)
-          if (BC.subsumedBy(Q, R))
-            return;
-        size_t Keep = 0;
-        for (size_t I = 0; I < Chain.size(); ++I)
-          if (!BC.subsumedBy(Chain[I], Q))
-            Chain[Keep++] = Chain[I];
-        Chain.resize(Keep);
-        Chain.push_back(Q);
-      };
-      EO.ResetKnownEmpty = [&Emp2] {
-        for (std::vector<State> &Chain : Emp2)
-          Chain.clear();
-      };
+      if (BC.subsumptionIsEarly())
+        Pass.SubsumedBy = [&Src, &BC](State Sub, State Sup) {
+          if (Sub == Sup)
+            return true; // syntactic fast path
+          auto [PA, QA] = Src.decode(Sub);
+          auto [PB, QB] = Src.decode(Sup);
+          return PA == PB && (QA == QB || BC.subsumedBy(QA, QB));
+        };
     }
-
-    CouvreurEmptiness Engine;
-    EmptinessResult ER = Engine.check(Src, EO);
-    Out.EmptinessEngine = Engine.name();
-    Out.CouvreurSccs = ER.SccsClosed;
-    Out.CouvreurCutoffs = ER.OnStackCutoffs + ER.ClosedCutoffs;
-    Out.ProductStatesExplored = ER.StatesExplored;
-    Out.ComplementStatesDiscovered = BC.numStatesDiscovered();
-    Out.SubsumptionPruned = ER.ClosedCutoffs;
-    Out.ArcsMemoized = Src.numArcsMemoized();
-    Out.Aborted = ER.Aborted || BC.aborted();
-    Out.HitStateCap = CapHit;
-    if (Out.Aborted)
+    Src.EmptinessStepFaults = true;
+    SccSearchResult R = Pass.run(Src);
+    Src.EmptinessStepFaults = false;
+    Out.Emptiness = Opts.Emptiness;
+    Out.CouvreurSccs = R.SccsClosed;
+    Out.CouvreurCutoffs = R.OnStackCutoffs + R.ClosedCutoffs;
+    perf::local().CouvreurSccs += Out.CouvreurSccs;
+    perf::local().CouvreurCutoffs += Out.CouvreurCutoffs;
+    if (!Record(R))
       return Out;
-    Out.IsEmpty = ER.IsEmpty;
-    Out.Witness = std::move(ER.Witness);
-    if (ER.IsEmpty || Opts.EmptinessOnly) {
+    if (R.LanguageEmpty) {
       ChargeGuard();
       return Out;
     }
-    // Nonempty and the caller needs the materialized difference: fall
-    // through to Algorithm 1.
-  } else if (Opts.EmptinessOnly) {
-    GaiserSchwoonEmptiness Engine;
-    EmptinessOptions EO;
-    EO.ShouldAbort = Hook;
-    EO.PollStride = Remover.PollStride;
-    EO.IsKnownEmpty = Remover.IsKnownUseless;
-    EO.AddKnownEmpty = Remover.AddUseless;
-    EO.FindWitness = Opts.WantWitness;
-    EmptinessResult ER = Engine.check(Src, EO);
-    Out.EmptinessEngine = Engine.name();
-    Out.IsEmpty = ER.IsEmpty;
-    Out.ProductStatesExplored = ER.StatesExplored;
-    Out.ComplementStatesDiscovered = BC.numStatesDiscovered();
-    Out.SubsumptionPruned = SubsumptionPruned;
-    Out.ArcsMemoized = Src.numArcsMemoized();
-    Out.Aborted = ER.Aborted || BC.aborted();
-    Out.HitStateCap = CapHit;
-    if (Out.Aborted)
-      return Out;
-    Out.Witness = std::move(ER.Witness);
-    ChargeGuard();
-    return Out;
   }
 
-  RemoveUselessResult R = Remover.run(Src);
+  SccSearch Classify = NewSearch(SccSearchMode::Classify);
+  EmpAntichain Emp(Src, BC);
+  if (Opts.UseSubsumption)
+    Emp.attach(Classify, A.numStates());
+  SccSearchResult R = Classify.run(Src);
   Out.IsEmpty = R.LanguageEmpty;
-  Out.ProductStatesExplored = R.StatesExplored;
-  Out.ComplementStatesDiscovered = BC.numStatesDiscovered();
-  Out.SubsumptionPruned = SubsumptionPruned;
-  Out.ArcsMemoized = Src.numArcsMemoized();
-  // An oracle-side abort truncated some successor list, so the search saw
-  // an under-approximated product; the classification is as invalid as a
-  // remover-side abort.
-  Out.Aborted = R.Aborted || BC.aborted();
-  Out.HitStateCap = CapHit;
-  if (Out.Aborted)
+  if (!Record(R))
     return Out;
 
   // Materialize the useful part. Product condition bit 0 is the
@@ -338,10 +323,6 @@ DifferenceResult termcheck::difference(const Buchi &A, ComplementOracle &BC,
       Out.D.addInitial(Map[S]);
   }
   Out.ArcsMemoized = Src.numArcsMemoized();
-  // Only completed constructions are charged: an aborted one frees its
-  // states on return, and charging it would double-bill retries.
-  if (Opts.Guard)
-    Opts.Guard->chargeStates(Out.ProductStatesExplored +
-                             Out.ComplementStatesDiscovered);
+  ChargeGuard();
   return Out;
 }

@@ -13,7 +13,7 @@
 ///  1. the complement is built on the fly, only where the product visits it
 ///     (ComplementOracle),
 ///  2. useless states are removed during the search with Algorithm 1
-///     (UselessStateRemover), and
+///     (SccSearch in classify mode), and
 ///  3. the emp set is maintained as a subsumption antichain using the
 ///     oracle's relation (Section 6), so macro-states subsumed by a known
 ///     useless macro-state are pruned without exploration.
@@ -24,7 +24,6 @@
 #define TERMCHECK_AUTOMATA_DIFFERENCE_H
 
 #include "automata/ComplementOracle.h"
-#include "automata/Emptiness.h"
 #include "automata/Scc.h"
 #include "support/ResourceGuard.h"
 
@@ -32,26 +31,30 @@ namespace termcheck {
 
 class Trace;
 
+/// Which SCC search decides a difference's emptiness
+/// (AnalyzerOptions::Emptiness; only portfolio entrants pick Couvreur).
+enum class EmptinessStrategy : uint8_t {
+  /// One Algorithm 1 classify pass decides emptiness and feeds
+  /// materialization.
+  GaiserSchwoon,
+  /// A first-accepting pass with on-stack cutoffs runs first; an empty
+  /// verdict skips the classify pass and materialization.
+  Couvreur,
+};
+
+/// Stable name surfaced in run reports ("gaiser_schwoon" / "couvreur").
+const char *emptinessStrategyName(EmptinessStrategy S);
+
 /// Tuning knobs for the difference construction.
 struct DifferenceOptions {
   /// Use the subsumption antichain for the emp set (Section 6). When
   /// false, emp is an exact set (plain Algorithm 1).
   bool UseSubsumption = true;
-  /// Which engine answers the emptiness question. GaiserSchwoon is the
-  /// historical Algorithm 1 path. Couvreur runs the on-stack-cutoff SCC
-  /// search first: an empty verdict skips Algorithm 1 and materialization
-  /// entirely, a nonempty one falls through to the (arc-memo-warm)
-  /// materializing path unless EmptinessOnly is set.
+  /// Which search decides emptiness (see EmptinessStrategy). Under
+  /// Couvreur a nonempty first-accepting pass falls through to the
+  /// classify pass, whose arc memo it has warmed.
   EmptinessStrategy Emptiness = EmptinessStrategy::GaiserSchwoon;
-  /// The caller only needs IsEmpty (language-inclusion queries): skip the
-  /// materialization, and let the engines stop at the first accepting SCC.
-  bool EmptinessOnly = false;
-  /// Reconstruct an accepting product lasso into Result.Witness when the
-  /// difference is decided nonempty by an emptiness engine (EmptinessOnly
-  /// or the Couvreur pre-pass). The word is over A's alphabet and lies in
-  /// L(A) \ L(B).
-  bool WantWitness = false;
-  /// Optional trace handle (non-owning); the Couvreur pre-pass emits an
+  /// Optional trace handle (non-owning); the Couvreur pass emits an
   /// "emptiness.couvreur" span into it.
   Trace *Tracer = nullptr;
   /// Optional budget hook; when it returns true the construction aborts
@@ -95,16 +98,12 @@ struct DifferenceResult {
   /// Product arcs memoized by the on-the-fly product: each is computed once
   /// during the search and replayed from the cache during materialization.
   size_t ArcsMemoized = 0;
-  /// Stable name of the engine that decided IsEmpty ("gaiser_schwoon" or
-  /// "couvreur"); surfaced in the run report.
-  const char *EmptinessEngine = "gaiser_schwoon";
-  /// SCCs closed by the Couvreur engine (zero on the Algorithm 1 path).
+  /// The strategy that decided IsEmpty; surfaced in the run report.
+  EmptinessStrategy Emptiness = EmptinessStrategy::GaiserSchwoon;
+  /// SCCs closed by the Couvreur pass (zero on the Algorithm 1 path).
   size_t CouvreurSccs = 0;
-  /// Successors the Couvreur engine pruned (on-stack plus closed cutoffs).
+  /// Successors the Couvreur pass pruned (on-stack plus closed cutoffs).
   size_t CouvreurCutoffs = 0;
-  /// Accepting product lasso (present when WantWitness was set and an
-  /// emptiness engine decided nonempty).
-  std::optional<LassoWord> Witness;
 };
 
 /// Computes the useful part of L(A) \ L(B-bar-source). \p A provides k

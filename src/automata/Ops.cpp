@@ -6,11 +6,7 @@
 
 #include "automata/Ops.h"
 
-#include "automata/DbaComplement.h"
-#include "automata/Difference.h"
 #include "automata/Interner.h"
-#include "automata/Ncsb.h"
-#include "automata/Sdba.h"
 
 #include <cassert>
 #include <deque>
@@ -205,24 +201,4 @@ Buchi termcheck::intersect(const Buchi &A, const Buchi &B) {
     }
   }
   return Out;
-}
-
-std::optional<bool> termcheck::isIncludedIn(const Buchi &A, const Buchi &B) {
-  assert(A.numSymbols() == B.numSymbols() && "alphabet mismatch");
-  // A pure language-inclusion query never needs the materialized
-  // difference, so the Couvreur engine answers it alone, stopping at the
-  // first accepting SCC and pruning with its on-stack cutoffs.
-  DifferenceOptions Opts;
-  Opts.Emptiness = EmptinessStrategy::Couvreur;
-  Opts.EmptinessOnly = true;
-  Buchi Complete = completeWithSink(B);
-  if (Complete.isDeterministic()) {
-    DbaComplementOracle O(Complete);
-    return difference(A, O, Opts).IsEmpty;
-  }
-  std::optional<Sdba> Prepared = prepareSdba(Complete);
-  if (!Prepared)
-    return std::nullopt;
-  NcsbOracle O(*Prepared, NcsbVariant::Lazy);
-  return difference(A, O, Opts).IsEmpty;
 }

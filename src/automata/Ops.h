@@ -19,8 +19,6 @@
 
 #include "automata/Buchi.h"
 
-#include <optional>
-
 namespace termcheck {
 
 /// Adds a non-accepting sink state (with self-loops on every symbol) and
@@ -49,12 +47,6 @@ Buchi dropFullConditions(const Buchi &A);
 /// Degeneralization: converts a k-condition GBA into an equivalent plain BA
 /// with at most (k + 1) * |Q| states (counter construction).
 Buchi degeneralize(const Buchi &A);
-
-/// Language inclusion L(A) subseteq L(B) for a semideterministic (or
-/// deterministic) B, decided through the paper's machinery: complement B
-/// with NCSB (or Kurshan) and test emptiness of the on-the-fly difference.
-/// \returns std::nullopt when B is not semideterministic.
-std::optional<bool> isIncludedIn(const Buchi &A, const Buchi &B);
 
 } // namespace termcheck
 

@@ -46,10 +46,10 @@ struct Counters {
   /// Components complemented by an engine cheaper than the rank-based
   /// fallback (finite-trace subset, Kurshan DBA, or NCSB).
   uint64_t ModularCheapComponents = 0;
-  /// SCCs fully closed by the Couvreur emptiness engine.
+  /// SCCs closed by the Couvreur emptiness pass of difference().
   uint64_t CouvreurSccs = 0;
-  /// Successors pruned by the Couvreur engine's cutoffs (on-stack
-  /// simulation prunes plus closed-antichain prunes).
+  /// Successors pruned by that pass's cutoffs (on-stack simulation
+  /// prunes plus closed-antichain prunes).
   uint64_t CouvreurCutoffs = 0;
 };
 

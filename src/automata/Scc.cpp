@@ -16,37 +16,42 @@
 using namespace termcheck;
 
 //===----------------------------------------------------------------------===//
-// Algorithm 1 (iterative)
+// The SCC search (Algorithm 1, iterative)
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// DFS frame of the iterative construct() of Algorithm 1: the shared
-/// arena slice (DfsFrames.h) plus Algorithm 1's nonemptiness flag.
+/// DFS frame: the shared arena slice (DfsFrames.h) plus Algorithm 1's
+/// nonemptiness flag.
 struct Frame {
   ArcArena::Frame F;
   bool IsNemp = false;
 };
 
-/// Entry of the SCCs stack: a potential SCC root with the acceptance
-/// conditions its candidate component covers so far.
-struct SccEntry {
+/// Entry of the roots stack: a potential SCC root with the acceptance
+/// conditions its candidate component covers so far (merged side cycles
+/// fold their masks in here, which is what makes the roots stack the
+/// authority on "marks on the path" for the on-stack cutoff).
+struct RootEntry {
   State Root;
   uint32_t DfsNum;
   uint64_t Mask;
 };
 
-} // namespace
-
-RemoveUselessResult UselessStateRemover::run(GbaSource &Src) {
-  RemoveUselessResult Result;
+/// One pass of the search, accumulating into \p R. \returns true (the
+/// pass is invalidated) when an SCC merge brings acceptance marks into the
+/// region of a live on-stack prune; the caller then reruns without the
+/// cutoff.
+bool searchPass(const SccSearch &Search, GbaSource &Src, bool OnStackCutoff,
+                SccSearchResult &R) {
   const uint64_t Full = Src.fullMask();
+  const bool Classify = Search.Mode == SccSearchMode::Classify;
 
   // Sources hand out dense ids (GbaSource contract), so every per-state set
   // is a flat vector grown on first touch -- the hash sets this replaces
   // dominated the profile of the difference engine's emptiness checks.
   std::vector<uint32_t> DfsNum; // 0 = unvisited (Cnt starts at 1)
-  std::vector<uint8_t> Useful, EmpFallback, OnAct;
+  std::vector<uint8_t> Useful, OnAct;
   auto Touch = [](auto &V, State S) -> decltype(V[0]) & {
     if (S >= V.size())
       V.resize(S + 1, 0);
@@ -56,57 +61,83 @@ RemoveUselessResult UselessStateRemover::run(GbaSource &Src) {
     return S < V.size() && V[S] != 0;
   };
   std::vector<State> Act;
-  std::vector<SccEntry> SCCs;
+  std::vector<RootEntry> Roots;
   ArcArena Arena;
   std::vector<Frame> Frames;
+  /// DFS numbers of the justifiers of every prune whose justifying state
+  /// is still on the stack (so the prune is provisional).
+  std::vector<uint32_t> ActivePrunes;
   uint32_t Cnt = 0;
 
-  auto KnownUseless = [&](State Q) {
-    if (IsKnownUseless)
-      return IsKnownUseless(Q);
-    return InSet(EmpFallback, Q);
-  };
-  auto MarkUseless = [&](State Q) {
-    if (AddUseless)
-      AddUseless(Q);
-    else
-      Touch(EmpFallback, Q) = 1;
-  };
-
-  auto enter = [&](State S) {
-    Touch(DfsNum, S) = ++Cnt;
-    SCCs.push_back({S, Cnt, Src.acceptMask(S)});
-    Act.push_back(S);
-    Touch(OnAct, S) = 1;
-    Frames.push_back(Frame{Arena.push(Src, S), false});
-    ++Result.StatesExplored;
-  };
-
-  bool FoundAccepting = false;
-  const uint32_t Stride = PollStride == 0 ? 1 : PollStride;
+  const uint32_t Stride = Search.PollStride == 0 ? 1 : Search.PollStride;
   uint32_t AbortPollCountdown = Stride;
   auto PollAbort = [&]() {
-    if (!ShouldAbort)
+    if (!Search.ShouldAbort)
       return false;
     if (--AbortPollCountdown != 0)
       return false;
     AbortPollCountdown = Stride;
-    return ShouldAbort();
+    return Search.ShouldAbort();
+  };
+
+  // Algorithm 1 tests `q in CEIL(emp)` for every state it meets. The
+  // first-accepting search asks only about unvisited states: a visited one
+  // is on the stack or already closed, and every closed SCC is empty there.
+  auto KnownUseless = [&](State Q) {
+    if (!Search.IsKnownUseless || (!Classify && InSet(DfsNum, Q)) ||
+        !Search.IsKnownUseless(Q))
+      return false;
+    ++R.ClosedCutoffs;
+    return true;
+  };
+
+  auto Enter = [&](State S, uint64_t Mask) {
+    Touch(DfsNum, S) = ++Cnt;
+    Roots.push_back({S, Cnt, Mask});
+    Act.push_back(S);
+    Touch(OnAct, S) = 1;
+    Frames.push_back(Frame{Arena.push(Src, S), false});
+    ++R.StatesExplored;
+  };
+
+  // The check_simul_less walk: a justifier for the (mark-free) successor
+  // \p T must lie on the current DFS path with no acceptance marks at or
+  // above its candidate region -- scanning the roots stack from the top
+  // for the first marked entry bounds how deep the path walk may reach.
+  // \returns the justifier's DFS number, or 0 when none qualifies.
+  auto OnStackJustifier = [&](State T) -> uint32_t {
+    uint32_t MinDfs = 1;
+    for (size_t J = Roots.size(); J-- > 0;) {
+      if (Roots[J].Mask != 0) {
+        if (J + 1 == Roots.size())
+          return 0; // the topmost candidate region already carries marks
+        MinDfs = Roots[J + 1].DfsNum;
+        break;
+      }
+    }
+    for (size_t I = Frames.size(); I-- > 0;) {
+      State S = Frames[I].F.S;
+      if (DfsNum[S] < MinDfs)
+        break;
+      if (Search.SubsumedBy(T, S))
+        return DfsNum[S];
+    }
+    return 0;
   };
 
   for (State QI : Src.initialStates()) {
     if (InSet(Useful, QI)) {
-      Result.LanguageEmpty = false;
+      R.LanguageEmpty = false;
       continue;
     }
     if (KnownUseless(QI) || InSet(DfsNum, QI))
       continue;
-    enter(QI);
+    Enter(QI, Src.acceptMask(QI));
 
     while (!Frames.empty()) {
       if (PollAbort()) {
-        Result.Aborted = true;
-        return Result;
+        R.Aborted = true;
+        return false;
       }
       Frame &F = Frames.back();
       if (!Arena.done(F.F)) {
@@ -118,7 +149,15 @@ RemoveUselessResult UselessStateRemover::run(GbaSource &Src) {
         if (KnownUseless(T))
           continue;
         if (!InSet(DfsNum, T)) {
-          enter(T);
+          uint64_t TMask = Src.acceptMask(T);
+          if (OnStackCutoff && TMask == 0) {
+            if (uint32_t J = OnStackJustifier(T)) {
+              ActivePrunes.push_back(J);
+              ++R.OnStackCutoffs;
+              continue;
+            }
+          }
+          Enter(T, TMask);
           continue;
         }
         if (!InSet(OnAct, T))
@@ -126,58 +165,87 @@ RemoveUselessResult UselessStateRemover::run(GbaSource &Src) {
         // T closes a cycle: merge the SCC candidates younger than T.
         uint32_t TNum = DfsNum[T];
         uint64_t Mask = 0;
-        SccEntry Last{};
+        RootEntry Last{};
         do {
-          assert(!SCCs.empty() && "SCC stack underflow");
-          Last = SCCs.back();
-          SCCs.pop_back();
+          assert(!Roots.empty() && "roots stack underflow");
+          Last = Roots.back();
+          Roots.pop_back();
           Mask |= Last.Mask;
         } while (Last.DfsNum > TNum);
-        if (Mask == Full)
+        Roots.push_back({Last.Root, Last.DfsNum, Mask});
+        if (Mask == Full) {
+          // Certified by explored arcs alone -- a cutoff never justifies
+          // NONEMPTY.
+          if (!Classify) {
+            R.LanguageEmpty = false;
+            return false;
+          }
           F.IsNemp = true;
-        SCCs.push_back({Last.Root, Last.DfsNum, Mask});
-        if (F.IsNemp && StopAtFirstAccepting) {
-          FoundAccepting = true;
-          break;
+        } else if (OnStackCutoff && Mask != 0) {
+          // Marks entered the merged region; any prune justified at or
+          // above the merged root no longer has a mark-free path segment
+          // under it.
+          for (uint32_t J : ActivePrunes)
+            if (J >= Last.DfsNum)
+              return true;
         }
         continue;
       }
-      // Leaving F.S: pop its SCC if F.S is the current candidate root.
-      bool ChildNemp = F.IsNemp;
-      const State Leaving = F.F.S;
-      if (!SCCs.empty() && SCCs.back().Root == Leaving) {
-        // A singleton state with a self-loop covering all conditions also
-        // forms an accepting SCC; that case was handled by the merge above
-        // (the self-loop closes a cycle on F.S itself).
-        SCCs.pop_back();
+      // Leaving F's state: pop its SCC if it is the current candidate
+      // root. A singleton with a self-loop covering all conditions was
+      // handled by the merge above (the self-loop closes a cycle on it).
+      const Frame Top = F;
+      Frames.pop_back();
+      if (!Roots.empty() && Roots.back().Root == Top.F.S) {
+        uint32_t RootNum = Roots.back().DfsNum;
+        Roots.pop_back();
+        ++R.SccsClosed;
         State U;
         do {
           assert(!Act.empty() && "act stack underflow");
           U = Act.back();
           Act.pop_back();
           OnAct[U] = 0;
-          if (F.IsNemp) {
+          if (Top.IsNemp) {
             Touch(Useful, U) = 1;
-            Result.Useful.push_back(U);
-          } else {
-            MarkUseless(U);
+            R.Useful.push_back(U);
+          } else if (Search.AddUseless) {
+            Search.AddUseless(U);
           }
-        } while (U != Leaving);
+        } while (U != Top.F.S);
+        // Justifiers inside the popped component now have proven empty
+        // language, so their prunes are permanent (plain language
+        // inclusion suffices from here on).
+        std::erase_if(ActivePrunes,
+                      [RootNum](uint32_t J) { return J >= RootNum; });
       }
-      Arena.pop(Frames.back().F);
-      Frames.pop_back();
+      Arena.pop(Top.F);
       if (!Frames.empty())
-        Frames.back().IsNemp |= ChildNemp;
+        Frames.back().IsNemp |= Top.IsNemp;
     }
 
-    if (FoundAccepting) {
-      Result.LanguageEmpty = false;
-      return Result;
-    }
     if (InSet(Useful, QI))
-      Result.LanguageEmpty = false;
+      R.LanguageEmpty = false;
   }
-  return Result;
+  return false;
+}
+
+} // namespace
+
+SccSearchResult SccSearch::run(GbaSource &Src) {
+  SccSearchResult R;
+  bool OnStackCutoff =
+      Mode == SccSearchMode::FirstAccepting && static_cast<bool>(SubsumedBy);
+  while (searchPass(*this, Src, OnStackCutoff, R)) {
+    // A merge invalidated a provisional prune: rerun without on-stack
+    // cutoffs (trivially sound; the emp set may hold entries added under
+    // the invalidated prune, so it is discarded too). Expected rare.
+    ++R.CutoffRestarts;
+    OnStackCutoff = false;
+    if (ResetUseless)
+      ResetUseless();
+  }
+  return R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -186,9 +254,7 @@ RemoveUselessResult UselessStateRemover::run(GbaSource &Src) {
 
 bool termcheck::isEmpty(const Buchi &A) {
   ExplicitGbaSource Src(A);
-  UselessStateRemover R;
-  R.StopAtFirstAccepting = true;
-  return R.run(Src).LanguageEmpty;
+  return SccSearch(SccSearchMode::FirstAccepting).run(Src).LanguageEmpty;
 }
 
 std::string LassoWord::str() const {

@@ -11,11 +11,12 @@
 ///   on-the-fly traversal of the automaton A, i.e., A can be provided
 ///   implicitly"). Product-with-complement automata implement this
 ///   interface so the complement is only built where the product visits it.
-/// * UselessStateRemover -- Algorithm 1 of the paper: the Gaiser-Schwoon /
-///   Couvreur emptiness check modified to classify every visited state as
-///   useful (nonempty language) or useless, with pluggable emp-set hooks so
+/// * SccSearch -- Algorithm 1 of the paper: the Gaiser-Schwoon / Couvreur
+///   emptiness check modified to classify every visited state as useful
+///   (nonempty language) or useless, with pluggable emp-set hooks so
 ///   Section 6's subsumption closure (the antichain) can replace exact
-///   membership.
+///   membership. The same search, stopped at the first accepting SCC and
+///   optionally pruning against the DFS stack, answers plain emptiness.
 /// * isEmpty / findAcceptingLasso -- emptiness and ultimately periodic
 ///   counterexample extraction for explicit GBAs.
 ///
@@ -71,35 +72,64 @@ private:
   const Buchi &A;
 };
 
-/// Outcome of running Algorithm 1.
-struct RemoveUselessResult {
-  /// Source ids of states proved useful, in classification order.
+/// Which question one SccSearch run answers.
+enum class SccSearchMode : uint8_t {
+  /// Algorithm 1: classify every reachable state as useful (nonempty
+  /// language) or useless -- the split materialization needs. Runs to
+  /// completion and never applies an on-stack cutoff.
+  Classify,
+  /// Stop at the first SCC whose merged mask covers fullMask(): plain
+  /// emptiness. The only mode that takes SubsumedBy.
+  FirstAccepting,
+};
+
+/// Outcome of one SccSearch run. The counters sum over cutoff restarts.
+struct SccSearchResult {
+  /// Classify: source ids of states proved useful, in classification order.
   std::vector<State> Useful;
   /// True when no initial state is useful (the language is empty).
   bool LanguageEmpty = true;
-  /// Number of distinct states whose successors were expanded.
-  size_t StatesExplored = 0;
   /// True when the run was cut short by the ShouldAbort hook; the
   /// classification is then partial and LanguageEmpty unreliable.
   bool Aborted = false;
+  /// Number of state expansions.
+  size_t StatesExplored = 0;
+  /// SCCs popped off the roots stack.
+  size_t SccsClosed = 0;
+  /// States skipped because IsKnownUseless held (the Section 6 antichain).
+  size_t ClosedCutoffs = 0;
+  /// Successors pruned against a state on the DFS stack.
+  size_t OnStackCutoffs = 0;
+  /// Reruns without on-stack cutoffs after a merge invalidated one.
+  size_t CutoffRestarts = 0;
 };
 
-/// Algorithm 1: classify reachable states of a GbaSource as useful/useless.
+/// The one iterative roots-stack SCC search of the automata layer
+/// (Gaiser-Schwoon / Couvreur, Algorithm 1 of the paper).
 ///
-/// The emp set is externalized through two hooks so the difference engine
-/// can maintain it as a subsumption antichain (Section 6):
+/// The emp set is externalized through hooks so the difference engine can
+/// maintain it as a subsumption antichain (Section 6):
 ///   IsKnownUseless(q) implements the test `q in CEIL(emp)`;
-///   AddUseless(q)     implements `emp.add(q)`.
-/// When the hooks are unset an exact hash set is used.
-class UselessStateRemover {
+///   AddUseless(q)     implements `emp.add(q)`;
+///   ResetUseless()    empties it (called before a cutoff restart, since
+///                     entries added under an invalidated prune are void).
+/// Without hooks, emp is exactly the set of closed useless states.
+///
+/// SubsumedBy(q, s) is an optional EARLY simulation-style preorder (the
+/// subsuming run covers acceptance no later; PLDI'18 Lemma 6.2). In
+/// FirstAccepting mode it enables the on-stack cutoff of kofola's
+/// check_simul_less: a mark-free successor subsumed by a state on the
+/// mark-free top of the DFS stack is pruned. DESIGN.md section 17 has the
+/// soundness argument and the restart rule.
+class SccSearch {
 public:
+  explicit SccSearch(SccSearchMode Mode) : Mode(Mode) {}
+
+  SccSearchMode Mode;
   std::function<bool(State)> IsKnownUseless;
   std::function<void(State)> AddUseless;
-
-  /// When true, stop as soon as one accepting SCC is found (this restores
-  /// the plain Gaiser-Schwoon emptiness test; the Useful classification is
-  /// then partial).
-  bool StopAtFirstAccepting = false;
+  std::function<void()> ResetUseless;
+  std::function<bool(State, State)> SubsumedBy;
 
   /// Optional budget hook, polled every PollStride expansions; returning
   /// true aborts the run (Result.Aborted is set).
@@ -110,10 +140,10 @@ public:
   /// lowers it so small constructions cannot dodge the cap between polls.
   uint32_t PollStride = 256;
 
-  RemoveUselessResult run(GbaSource &Src);
+  SccSearchResult run(GbaSource &Src);
 };
 
-/// \returns true iff L(A) is empty (Gaiser-Schwoon over the explicit GBA).
+/// \returns true iff L(A) is empty (SccSearch in FirstAccepting mode).
 bool isEmpty(const Buchi &A);
 
 /// Tarjan SCC decomposition of the reachable part of an explicit GBA.

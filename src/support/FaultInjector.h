@@ -19,8 +19,9 @@
 ///   * ProverEntry      -- entry of the lasso and recurrence provers,
 ///   * ModularExpand    -- each tuple expansion of the modular complement,
 ///   * SandboxEntry     -- entry of a sandboxed termcheckd worker process,
-///   * EmptinessStep    -- each state entered by the Couvreur emptiness
-///                         engine's SCC search.
+///   * EmptinessStep    -- each product state expanded by the Couvreur
+///                         pass of difference() (the first-accepting SCC
+///                         search run under EmptinessStrategy::Couvreur).
 ///
 /// All sites but SandboxEntry throw through hit(). SandboxEntry is a HARD
 /// fault site: the sandbox worker consumes its plan via consumeHard() and

@@ -34,6 +34,8 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -82,34 +84,33 @@ struct TraceEvent {
 
   explicit TraceEvent(TraceEventKind K) : Kind(K) {}
 
-  TraceEvent &with(const char *Key, int64_t V) {
-    Fields.emplace_back(Key, FieldValue(V));
-    return *this;
-  }
+  TraceEvent &with(const char *Key, int64_t V) { return add(Key, V); }
   TraceEvent &with(const char *Key, uint64_t V) {
-    return with(Key, static_cast<int64_t>(V));
+    return add(Key, static_cast<int64_t>(V));
   }
   TraceEvent &with(const char *Key, int V) {
-    return with(Key, static_cast<int64_t>(V));
+    return add(Key, static_cast<int64_t>(V));
   }
-  TraceEvent &with(const char *Key, double V) {
-    Fields.emplace_back(Key, FieldValue(V));
-    return *this;
-  }
-  TraceEvent &with(const char *Key, bool V) {
-    Fields.emplace_back(Key, FieldValue(V));
-    return *this;
-  }
+  TraceEvent &with(const char *Key, double V) { return add(Key, V); }
+  TraceEvent &with(const char *Key, bool V) { return add(Key, V); }
   TraceEvent &with(const char *Key, std::string V) {
-    Fields.emplace_back(Key, FieldValue(std::move(V)));
-    return *this;
+    return add(Key, std::move(V));
   }
   TraceEvent &with(const char *Key, const char *V) {
-    return with(Key, std::string(V));
+    return add(Key, std::string(V));
   }
 
   /// \returns the field \p Key or nullptr (test helper).
   const FieldValue *find(const char *Key) const;
+
+private:
+  /// Builds the value inside the vector: moving a temporary FieldValue in
+  /// made GCC 12 report its string alternative as maybe-uninitialized.
+  template <typename T> TraceEvent &add(const char *Key, T &&V) {
+    Fields.emplace_back(std::piecewise_construct, std::forward_as_tuple(Key),
+                        std::forward_as_tuple(std::forward<T>(V)));
+    return *this;
+  }
 };
 
 /// Where events go. Implementations need no internal locking: Trace

@@ -307,9 +307,7 @@ static Buchi requireWordOnly(const Buchi &Remaining, const LassoWord &W,
   return std::move(*B);
 }
 
-Buchi TerminationAnalyzer::subtract(const Buchi &Remaining,
-                                    const CertifiedModule &M,
-                                    Statistics &Stats) {
+DifferenceOptions TerminationAnalyzer::differenceOptions() const {
   DifferenceOptions DiffOpts;
   DiffOpts.UseSubsumption = Opts.UseSubsumption;
   DiffOpts.ShouldAbort = BudgetHook;
@@ -317,6 +315,13 @@ Buchi TerminationAnalyzer::subtract(const Buchi &Remaining,
   DiffOpts.Guard = Opts.Guard;
   DiffOpts.Emptiness = Opts.Emptiness;
   DiffOpts.Tracer = Opts.Tracer;
+  return DiffOpts;
+}
+
+Buchi TerminationAnalyzer::subtract(const Buchi &Remaining,
+                                    const CertifiedModule &M,
+                                    Statistics &Stats) {
+  const DifferenceOptions DiffOpts = differenceOptions();
 
   std::unique_ptr<ComplementOracle> Oracle;
   std::optional<Sdba> Prepared;
@@ -371,7 +376,9 @@ Buchi TerminationAnalyzer::subtract(const Buchi &Remaining,
                            : int64_t(0))
                    .with("aborted", R ? R->Aborted : false)
                    .with("emptiness",
-                         R ? R->EmptinessEngine : "gaiser_schwoon")
+                         emptinessStrategyName(
+                             R ? R->Emptiness
+                               : EmptinessStrategy::GaiserSchwoon))
                    .with("word_fallback", WordFallback));
   };
 
@@ -492,16 +499,6 @@ AnalysisResult TerminationAnalyzer::run() {
       ~Charge() { S.addTime(Name, T.seconds()); }
     } C{Result.Stats, Name, T};
     return Fn();
-  };
-  auto WordDiffOpts = [&]() {
-    DifferenceOptions DiffOpts;
-    DiffOpts.UseSubsumption = Opts.UseSubsumption;
-    DiffOpts.ShouldAbort = BudgetHook;
-    DiffOpts.MaxProductStates = Opts.MaxProductStates;
-    DiffOpts.Guard = Opts.Guard;
-    DiffOpts.Emptiness = Opts.Emptiness;
-    DiffOpts.Tracer = Opts.Tracer;
-    return DiffOpts;
   };
   // Cross-run module cache (DESIGN.md section 16). Warm start: replay
   // every module previously certified for this program shape through the
@@ -640,7 +637,7 @@ AnalysisResult TerminationAnalyzer::run() {
         ++SkippedUnknown;
         Result.Stats.add("unknown_lassos_skipped");
         try {
-          Remaining = requireWordOnly(Remaining, *W, WordDiffOpts(),
+          Remaining = requireWordOnly(Remaining, *W, differenceOptions(),
                                       Result.Stats);
         } catch (const EngineError &E) {
           if (Contain(E)) {
@@ -700,7 +697,7 @@ AnalysisResult TerminationAnalyzer::run() {
       // word is sound and keeps TERMINATING reachable; only convergence
       // speed is lost.
       try {
-        Remaining = requireWordOnly(Remaining, *W, WordDiffOpts(),
+        Remaining = requireWordOnly(Remaining, *W, differenceOptions(),
                                     Result.Stats);
       } catch (const EngineError &E2) {
         if (Contain(E2)) {

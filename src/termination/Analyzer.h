@@ -25,7 +25,7 @@
 #ifndef TERMCHECK_TERMINATION_ANALYZER_H
 #define TERMCHECK_TERMINATION_ANALYZER_H
 
-#include "automata/Emptiness.h"
+#include "automata/Difference.h"
 #include "automata/Ncsb.h"
 #include "automata/Scc.h"
 #include "nontermination/RecurrenceProver.h"
@@ -67,18 +67,15 @@ enum class ComplementStrategy : uint8_t {
 struct AnalyzerOptions {
   /// Stage sequence tried in order after the implicit stage 0; the
   /// paper's sequence (i) skips M_det, (ii) skips M_semi, (iii) tries all.
-  std::vector<Stage> Sequence = {Stage::Finite, Stage::Semideterministic,
-                                 Stage::Nondeterministic};
+  std::vector<Stage> Sequence = sequenceSkipDet();
   /// Single-stage mode: always generalize straight to M_nondet.
   bool MultiStage = true;
   /// Which NCSB variant complements semideterministic modules.
   NcsbVariant Ncsb = NcsbVariant::Lazy;
   /// Module complementation strategy (see ComplementStrategy).
   ComplementStrategy Complement = ComplementStrategy::Auto;
-  /// Which emptiness engine the difference construction runs (the
-  /// --emptiness CLI axis; see EmptinessStrategy). GaiserSchwoon runs
-  /// Algorithm 1 on every subtraction; Couvreur makes the on-stack-cutoff
-  /// engine answer emptiness first on every subtraction.
+  /// Which SCC search decides each subtraction's emptiness (see
+  /// EmptinessStrategy). Only the portfolio roster sets Couvreur.
   EmptinessStrategy Emptiness = EmptinessStrategy::GaiserSchwoon;
   /// Subsumption antichain in the difference construction (Section 6).
   bool UseSubsumption = true;
@@ -222,6 +219,9 @@ private:
   /// configured, and M_uv itself contains the word).
   CertifiedModule generalize(const Lasso &L, const LassoWord &W,
                              const LassoProof &Proof, Statistics &Stats);
+
+  /// The difference options every subtraction of this run uses.
+  DifferenceOptions differenceOptions() const;
 
   /// Subtracts the module language from \p Remaining.
   Buchi subtract(const Buchi &Remaining, const CertifiedModule &M,

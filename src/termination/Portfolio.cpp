@@ -73,9 +73,9 @@ std::vector<PortfolioConfig> termcheck::defaultPortfolio(size_t K) {
       {"nonterm-modular-deep", AnalyzerOptions::sequenceSkipDet,
        NcsbVariant::Lazy, true, true, true},
       // The Couvreur entrants (also tail-appended) race the on-stack-cutoff
-      // emptiness engine head-to-head against the Gaiser-Schwoon entrants
-      // above: entry 16 mirrors entry 0 with only the engine flipped, and
-      // entry 17 pairs it with the modular complement.
+      // emptiness pass head-to-head against the Gaiser-Schwoon entrants
+      // above: entry 16 mirrors entry 0 with only the strategy flipped,
+      // and entry 17 pairs it with the modular complement.
       {"seq_i-couvreur-sub", AnalyzerOptions::sequenceSkipDet,
        NcsbVariant::Lazy, true, false, false, true},
       {"seq_iii-couvreur-modular", AnalyzerOptions::sequenceAll,

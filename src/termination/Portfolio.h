@@ -47,7 +47,7 @@ struct PortfolioConfig {
 /// sequence i/ii/iii x NCSB lazy/original x subsumption on/off), two
 /// nonterm-biased entrants with enlarged recurrence-prover budgets, two
 /// entrants running the modular (mix-and-match) complement strategy, and
-/// two entrants racing the Couvreur emptiness engine against the
+/// two entrants racing the Couvreur emptiness strategy against the
 /// Gaiser-Schwoon default, ordered so small prefixes are diverse -- entry
 /// 0 is the library default configuration, and each following entry flips
 /// at least one axis of an earlier one. The modular and Couvreur entrants

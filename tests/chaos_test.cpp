@@ -142,9 +142,10 @@ ErrorOr<AnalysisResult> chaosRun(const Program &P, uint64_t Seed,
 /// The weakening check: a faulted run that still concludes must agree with
 /// the recorded expectation; inconclusive verdicts are always acceptable.
 void expectNoFlip(const CorpusEntry &E, Verdict Got, uint64_t Seed) {
-  if (isConclusive(Got))
+  if (isConclusive(Got)) {
     EXPECT_EQ(Got, E.Expected)
         << E.File << " flipped verdict under fault seed " << Seed;
+  }
 }
 
 TEST(Chaos, SeededAnalyzerRunsNeverCrashOrFlipVerdicts) {
@@ -273,9 +274,10 @@ TEST(Chaos, PortfolioRacesSurviveFaultsAndNeverHang) {
     ArmedScope Armed(Seed);
     PortfolioRunResult R = runPortfolio(E.Prog, Configs, PO);
     expectNoFlip(E, R.Result.V, Seed);
-    if (R.FaultedEntrants != 0)
+    if (R.FaultedEntrants != 0) {
       EXPECT_GE(R.Merged.get("portfolio.faulted"),
                 static_cast<int64_t>(R.FaultedEntrants));
+    }
   }
 }
 
@@ -524,8 +526,9 @@ TEST(Chaos, ResourceGuardEndsRunsInsteadOfExploding) {
     TerminationAnalyzer A(Local, Opts);
     AnalysisResult R = A.run();
     expectNoFlip(Corpus[I], R.V, 0);
-    if (R.Stats.get("resource.exhausted") != 0)
+    if (R.Stats.get("resource.exhausted") != 0) {
       EXPECT_EQ(R.V, Verdict::Timeout) << Corpus[I].File;
+    }
   }
 }
 

@@ -11,6 +11,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "InclusionOracle.h"
+
 #include "automata/DbaComplement.h"
 #include "automata/FiniteTraceComplement.h"
 #include "automata/Ncsb.h"

@@ -1,26 +1,31 @@
-//===- tests/emptiness_equivalence_test.cpp - Engine differential gate ----===//
+//===- tests/emptiness_equivalence_test.cpp - Emptiness differential gate -===//
 //
 // Part of the termcheck project (PLDI'18 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The differential gate for the pluggable emptiness engines (DESIGN.md
-/// section 17):
+/// The differential gate for the SCC search and the two emptiness
+/// strategies of difference() (DESIGN.md section 17). Both strategies run
+/// the same SccSearch core, so every check compares against a reference
+/// that shares no code with it: findAcceptingLasso (Tarjan plus BFS) over
+/// explicitly materialized automata.
 ///
-///  * 200+ seeded product differentials: Gaiser-Schwoon and Couvreur must
-///    agree on every emptiness-only difference, and every witness an engine
-///    returns must be a word of L(A) \ L(B) replayed against the originals,
+///  * 220 seeded product differentials: difference() under both strategies
+///    vs findAcceptingLasso over A x NCSB(B) materialized; every nonempty
+///    difference yields a lasso in L(A) \ L(B), replayed on the originals,
 ///  * self-differences L(A) \ L(A) through the NCSB-Lazy and the modular
-///    complement must come out empty under both engines,
-///  * randomized explicit queries: checkEmptiness under every strategy vs
-///    the reference isEmpty(), witnesses replayed, on plain BAs and on
-///    degeneralized 2-condition GBAs,
-///  * the small program suite and the on-disk corpus end to end: the
-///    analyzer's verdicts under Gaiser-Schwoon and under Couvreur must
-///    agree,
+///    complement must come out empty under both strategies,
+///  * randomized explicit queries: the core in both modes, with and
+///    without a direct-simulation cutoff relation, vs the reference, on
+///    plain BAs and on degeneralized 2-condition GBAs,
 ///  * cutoff-soundness units on the deep-SCC family: the structural
 ///    subsumption oracle drives the on-stack and closed-state cutoffs and
 ///    must never change a verdict, only shrink the explored set,
+///  * the cutoff rule: classify mode given an early relation returns
+///    exactly the cutoff-free useful set (materialization never loses a
+///    pruned state), while first-accepting mode prunes with it,
+///  * the small program suite and the on-disk corpus end to end: the
+///    analyzer's verdicts and module counts under both strategies agree,
 ///  * the 18-entry roster (Couvreur entrants included) stays a byte-
 ///    deterministic sequential fallback under Jobs == 1,
 ///  * chaos: seeds that arm FaultSite::EmptinessStep may only ever weaken
@@ -28,12 +33,14 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "automata/Emptiness.h"
+#include "automata/Scc.h"
 
 #include "automata/Difference.h"
+#include "automata/Interner.h"
 #include "automata/ModularComplement.h"
 #include "automata/Ncsb.h"
 #include "automata/Ops.h"
+#include "automata/Simulation.h"
 #include "benchgen/ProgramFamilies.h"
 #include "benchgen/RandomAutomata.h"
 #include "program/Parser.h"
@@ -57,9 +64,12 @@ namespace {
 #error "build must define TERMCHECK_CORPUS_DIR"
 #endif
 
+const EmptinessStrategy Strategies[2] = {EmptinessStrategy::GaiserSchwoon,
+                                         EmptinessStrategy::Couvreur};
+
 /// One seeded (A, B) product-differential instance: A is a random
 /// nondeterministic BA, B a prepared SDBA complemented on the fly through
-/// NCSB; the difference L(A) \ L(B) is decided under both engines.
+/// NCSB; the difference L(A) \ L(B) is decided under both strategies.
 struct ProductInstance {
   Buchi A;
   Buchi B;
@@ -86,58 +96,164 @@ std::vector<ProductInstance> productCorpus(size_t Count, uint64_t Seed) {
 }
 
 DifferenceResult runDifference(const ProductInstance &Inst,
-                               EmptinessStrategy S, bool WantWitness) {
+                               EmptinessStrategy S) {
   NcsbOracle O(Inst.Prepared, NcsbVariant::Lazy);
   DifferenceOptions DO;
   DO.Emptiness = S;
-  DO.EmptinessOnly = true;
-  DO.WantWitness = WantWitness;
   return difference(Inst.A, O, DO);
+}
+
+/// A x B-bar over an explicit A and a complement oracle, with the
+/// oracle's subsumption lifted to product states: the product difference()
+/// searches, rebuilt here so the core runs under a relation the test owns.
+class OracleProduct : public GbaSource {
+public:
+  OracleProduct(const Buchi &A, ComplementOracle &BC) : A(A), BC(BC) {}
+
+  uint64_t fullMask() const override { return (A.fullMask() << 1) | 1; }
+  std::vector<State> initialStates() override {
+    std::vector<State> Out;
+    for (State P : A.initials().elems())
+      for (State Q : BC.initialStates())
+        Out.push_back(Pairs.intern(P, Q).first);
+    return Out;
+  }
+  uint64_t acceptMask(State S) override {
+    auto [P, Q] = Pairs.get(S);
+    return (A.acceptMask(P) << 1) | (BC.isAccepting(Q) ? 1 : 0);
+  }
+  void arcs(State S, std::vector<Buchi::Arc> &Out) override {
+    auto [P, Q] = Pairs.get(S);
+    std::vector<State> Succ;
+    for (const Buchi::Arc &ArcA : A.arcsFrom(P)) {
+      Succ.clear();
+      BC.successors(Q, ArcA.Sym, Succ);
+      for (State CTo : Succ)
+        Out.push_back({ArcA.Sym, Pairs.intern(ArcA.To, CTo).first});
+    }
+  }
+  bool subsumedBy(State Sub, State Sup) const {
+    auto [PA, QA] = Pairs.get(Sub);
+    auto [PB, QB] = Pairs.get(Sup);
+    return PA == PB && BC.subsumedBy(QA, QB);
+  }
+
+private:
+  const Buchi &A;
+  ComplementOracle &BC;
+  PairInterner Pairs;
+};
+
+using Relation = std::function<bool(State, State)>;
+
+/// A closed-state antichain under \p Rel wired into SccSearch's emp hooks,
+/// the way difference() wires its per-A-state one.
+struct TestAntichain {
+  Relation Rel;
+  std::vector<State> Chain;
+
+  void attach(SccSearch &S) {
+    S.IsKnownUseless = [this](State Q) {
+      return std::any_of(Chain.begin(), Chain.end(),
+                         [&](State R) { return Rel(Q, R); });
+    };
+    S.AddUseless = [this](State Q) {
+      for (State R : Chain)
+        if (Rel(Q, R))
+          return;
+      std::erase_if(Chain, [&](State R) { return Rel(R, Q); });
+      Chain.push_back(Q);
+    };
+    S.ResetUseless = [this] { Chain.clear(); };
+  }
+};
+
+/// Runs the core over explicit \p A in \p Mode. A non-null \p Rel is the
+/// emp antichain's relation and, in first-accepting mode, the on-stack
+/// cutoff relation too.
+SccSearchResult searchExplicit(const Buchi &A, SccSearchMode Mode,
+                               const Relation &Rel) {
+  ExplicitGbaSource Src(A);
+  SccSearch Search(Mode);
+  TestAntichain Emp{Rel, {}};
+  if (Rel) {
+    Emp.attach(Search);
+    Search.SubsumedBy = Rel;
+  }
+  return Search.run(Src);
+}
+
+/// The explicit queries every configuration of the core must answer like
+/// the reference: both modes, bare and with the direct simulation of \p A.
+void expectCoreMatchesReference(const Buchi &A, bool RefEmpty,
+                                const std::string &What) {
+  SimulationRelation Sim = computeDirectSimulation(A);
+  Relation Direct = [&Sim](State Sub, State Sup) {
+    return Sim.simulates(Sub, Sup);
+  };
+  for (SccSearchMode Mode :
+       {SccSearchMode::Classify, SccSearchMode::FirstAccepting}) {
+    for (const Relation &Rel : {Relation(), Direct}) {
+      SccSearchResult R = searchExplicit(A, Mode, Rel);
+      ASSERT_FALSE(R.Aborted);
+      EXPECT_EQ(R.LanguageEmpty, RefEmpty)
+          << What << " in "
+          << (Mode == SccSearchMode::Classify ? "classify" : "first-accepting")
+          << " mode " << (Rel ? "with" : "without") << " direct simulation";
+    }
+  }
 }
 
 } // namespace
 
 TEST(EmptinessEquivalence, ProductDifferentialsAgreeAcrossEngines) {
-  // The headline differential: 220 seeded products, both engines, zero
-  // disagreements tolerated, every nonempty verdict backed by a replayable
-  // witness word in L(A) \ L(B).
+  // The headline differential: 220 seeded products, both strategies vs an
+  // explicit reference (NCSB complement materialized, product searched
+  // with Tarjan plus BFS), zero disagreements tolerated. Every nonempty
+  // difference must contain a lasso of L(A) \ L(B).
   std::vector<ProductInstance> Corpus = productCorpus(220, 0xD1FF0001);
-  size_t Nonempty = 0, Witnessed = 0;
+  size_t Nonempty = 0;
   for (size_t I = 0; I < Corpus.size(); ++I) {
-    DifferenceResult G =
-        runDifference(Corpus[I], EmptinessStrategy::GaiserSchwoon, false);
-    DifferenceResult C =
-        runDifference(Corpus[I], EmptinessStrategy::Couvreur, true);
-    ASSERT_FALSE(G.Aborted) << "instance " << I;
-    ASSERT_FALSE(C.Aborted) << "instance " << I;
-    EXPECT_EQ(G.IsEmpty, C.IsEmpty)
-        << "instance " << I << ": gaiser_schwoon says "
-        << (G.IsEmpty ? "empty" : "nonempty") << ", couvreur disagrees";
-    EXPECT_STREQ(C.EmptinessEngine, "couvreur") << "instance " << I;
-    if (!C.IsEmpty) {
-      ++Nonempty;
-      ASSERT_TRUE(C.Witness.has_value()) << "instance " << I;
-      EXPECT_TRUE(acceptsLasso(Corpus[I].A, *C.Witness))
-          << "instance " << I << ": witness not in L(A)";
-      EXPECT_FALSE(acceptsLasso(Corpus[I].B, *C.Witness))
-          << "instance " << I << ": witness in L(B)";
-      ++Witnessed;
+    const ProductInstance &Inst = Corpus[I];
+    Buchi Complement =
+        trim(NcsbOracle(Inst.Prepared, NcsbVariant::Lazy).materialize());
+    bool RefEmpty =
+        !findAcceptingLasso(intersect(Inst.A, Complement)).has_value();
+    Nonempty += RefEmpty ? 0 : 1;
+    size_t States[2];
+    for (int E = 0; E < 2; ++E) {
+      DifferenceResult D = runDifference(Inst, Strategies[E]);
+      const char *Name = emptinessStrategyName(Strategies[E]);
+      ASSERT_FALSE(D.Aborted) << "instance " << I << " under " << Name;
+      EXPECT_EQ(D.Emptiness, Strategies[E]) << "instance " << I;
+      EXPECT_EQ(D.IsEmpty, RefEmpty)
+          << "instance " << I << ": " << Name << " says "
+          << (D.IsEmpty ? "empty" : "nonempty") << ", the reference disagrees";
+      States[E] = D.D.numStates();
+      if (D.IsEmpty) {
+        EXPECT_EQ(D.D.numStates(), 0u) << "instance " << I << " under " << Name;
+        continue;
+      }
+      std::optional<LassoWord> W = findAcceptingLasso(D.D);
+      ASSERT_TRUE(W.has_value()) << "instance " << I << " under " << Name;
+      EXPECT_TRUE(acceptsLasso(Inst.A, *W))
+          << "instance " << I << " under " << Name << ": word not in L(A)";
+      EXPECT_FALSE(acceptsLasso(Inst.B, *W))
+          << "instance " << I << " under " << Name << ": word in L(B)";
     }
+    // A nonempty Couvreur pass falls through to the same classify pass.
+    EXPECT_EQ(States[0], States[1]) << "instance " << I;
   }
   // The sweep must exercise both outcomes, or the agreement checks above
   // are vacuous.
   EXPECT_GT(Nonempty, 20u) << "corpus skewed all-empty";
   EXPECT_LT(Nonempty, Corpus.size()) << "corpus skewed all-nonempty";
-  EXPECT_EQ(Witnessed, Nonempty);
 }
 
 TEST(EmptinessEquivalence, SelfDifferencesAreEmptyUnderBothEngines) {
   // L(A) \ L(A) is empty whatever the complement construction; both
-  // engines must say so on emptiness-only queries. Covers the NCSB-Lazy
-  // oracle on random SDBAs and the modular (mix-and-match) oracle on
-  // class-mixed automata.
-  const EmptinessStrategy Engines[2] = {EmptinessStrategy::GaiserSchwoon,
-                                        EmptinessStrategy::Couvreur};
+  // strategies must say so. Covers the NCSB-Lazy oracle on random SDBAs
+  // and the modular (mix-and-match) oracle on class-mixed automata.
   Rng R(0xE3550002);
   size_t Ncsb = 0, Modular = 0;
   for (int I = 0; I < 60; ++I) {
@@ -147,15 +263,14 @@ TEST(EmptinessEquivalence, SelfDifferencesAreEmptyUnderBothEngines) {
     if (!S)
       continue;
     ++Ncsb;
-    for (EmptinessStrategy E : Engines) {
+    for (EmptinessStrategy E : Strategies) {
       NcsbOracle O(*S, NcsbVariant::Lazy);
       DifferenceOptions DO;
       DO.Emptiness = E;
-      DO.EmptinessOnly = true;
       DifferenceResult Res = difference(A, O, DO);
       ASSERT_FALSE(Res.Aborted) << "sdba " << I;
       EXPECT_TRUE(Res.IsEmpty) << "sdba " << I << ": NCSB self-difference "
-                               << "nonempty under " << Res.EmptinessEngine;
+                               << "nonempty under " << emptinessStrategyName(Res.Emptiness);
     }
   }
   for (int Draw = 0; Draw < 300 && Modular < 30; ++Draw) {
@@ -174,9 +289,9 @@ TEST(EmptinessEquivalence, SelfDifferencesAreEmptyUnderBothEngines) {
     Buchi A = randomClassMixedBa(R, Spec);
     // A few seeds blow the self-difference product up to tens of
     // thousands of macrostates; the cap skips them, keeping the sweep to
-    // instances both engines finish in milliseconds.
+    // instances both strategies finish in milliseconds.
     bool Skipped = false;
-    for (EmptinessStrategy E : Engines) {
+    for (EmptinessStrategy E : Strategies) {
       auto Mod = buildModularComplement(A);
       if (!Mod) {
         Skipped = true;
@@ -184,7 +299,6 @@ TEST(EmptinessEquivalence, SelfDifferencesAreEmptyUnderBothEngines) {
       }
       DifferenceOptions DO;
       DO.Emptiness = E;
-      DO.EmptinessOnly = true;
       DO.MaxProductStates = 1000;
       DifferenceResult Res = difference(A, *Mod, DO);
       if (Res.HitStateCap) {
@@ -194,7 +308,7 @@ TEST(EmptinessEquivalence, SelfDifferencesAreEmptyUnderBothEngines) {
       ASSERT_FALSE(Res.Aborted) << "class-mixed " << Modular;
       EXPECT_TRUE(Res.IsEmpty)
           << "class-mixed " << Modular << ": modular self-difference "
-          << "nonempty under " << Res.EmptinessEngine << "\n" << A.str();
+          << "nonempty under " << emptinessStrategyName(Res.Emptiness) << "\n" << A.str();
     }
     if (!Skipped)
       ++Modular;
@@ -204,8 +318,8 @@ TEST(EmptinessEquivalence, SelfDifferencesAreEmptyUnderBothEngines) {
 }
 
 TEST(EmptinessEquivalence, ExplicitQueriesMatchReference) {
-  // checkEmptiness on explicit automata vs the reference decision
-  // procedure, both strategies, witnesses replayed.
+  // The core on explicit automata vs the reference decision procedure,
+  // in both modes, bare and with a direct-simulation cutoff relation.
   Rng R(0xD1FF0002);
   size_t Nonempty = 0;
   for (int I = 0; I < 100; ++I) {
@@ -213,22 +327,8 @@ TEST(EmptinessEquivalence, ExplicitQueriesMatchReference) {
     Spec.NumStates = 3 + static_cast<uint32_t>(R.below(10));
     Spec.AcceptPercent = 10 + static_cast<uint32_t>(R.below(50));
     Buchi A = randomBa(R, Spec);
-    bool Ref = isEmpty(A);
-    for (EmptinessStrategy S :
-         {EmptinessStrategy::GaiserSchwoon, EmptinessStrategy::Couvreur}) {
-      EmptinessOptions EO;
-      EO.FindWitness = true;
-      EmptinessResult Res = checkEmptiness(A, S, EO);
-      ASSERT_FALSE(Res.Aborted);
-      EXPECT_EQ(Res.IsEmpty, Ref)
-          << "instance " << I << " under " << emptinessStrategyName(S);
-      if (!Res.IsEmpty) {
-        ASSERT_TRUE(Res.Witness.has_value())
-            << "instance " << I << " under " << emptinessStrategyName(S);
-        EXPECT_TRUE(acceptsLasso(A, *Res.Witness))
-            << "instance " << I << " under " << emptinessStrategyName(S);
-      }
-    }
+    bool Ref = !findAcceptingLasso(A).has_value();
+    expectCoreMatchesReference(A, Ref, "instance " + std::to_string(I));
     if (!Ref)
       ++Nonempty;
   }
@@ -236,8 +336,8 @@ TEST(EmptinessEquivalence, ExplicitQueriesMatchReference) {
   EXPECT_LT(Nonempty, 100u);
 
   // Degeneralized 2-condition GBAs: the counter construction must preserve
-  // emptiness, so every engine on degeneralize(G) agrees with the
-  // reference decision on G itself.
+  // emptiness, so the core on degeneralize(G) agrees with the reference
+  // decision on G itself.
   Rng G2(911);
   size_t DegenNonempty = 0;
   for (int I = 0; I < 40; ++I) {
@@ -253,26 +353,12 @@ TEST(EmptinessEquivalence, ExplicitQueriesMatchReference) {
       for (Symbol Sym = 0; Sym < 2; ++Sym)
         G.addTransition(S, Sym, static_cast<State>(G2.below(N)));
     }
-    Buchi D = degeneralize(G);
-    bool Ref = isEmpty(G);
+    bool Ref = !findAcceptingLasso(G).has_value();
     if (!Ref)
       ++DegenNonempty;
-    for (EmptinessStrategy S :
-         {EmptinessStrategy::GaiserSchwoon, EmptinessStrategy::Couvreur}) {
-      EmptinessOptions EO;
-      EO.FindWitness = true;
-      EmptinessResult Res = checkEmptiness(D, S, EO);
-      ASSERT_FALSE(Res.Aborted);
-      EXPECT_EQ(Res.IsEmpty, Ref)
-          << "degeneralized GBA " << I << " under "
-          << emptinessStrategyName(S) << "\n" << G.str();
-      if (!Res.IsEmpty) {
-        ASSERT_TRUE(Res.Witness.has_value());
-        EXPECT_TRUE(acceptsLasso(G, *Res.Witness))
-            << "degeneralized GBA " << I << " under "
-            << emptinessStrategyName(S);
-      }
-    }
+    expectCoreMatchesReference(degeneralize(G), Ref,
+                               "degeneralized GBA " + std::to_string(I) +
+                                   "\n" + G.str());
   }
   EXPECT_GT(DegenNonempty, 0u);
   EXPECT_LT(DegenNonempty, 40u);
@@ -284,7 +370,7 @@ TEST(EmptinessEquivalence, CutoffsAreSoundOnDeepSccFamily) {
   // cutoffs with it must preserve every verdict while strictly shrinking
   // the explored set on this corridor-heavy shape.
   Rng R(0xD1FF0003);
-  size_t TotalCutoffs = 0;
+  size_t OnStack = 0, Closed = 0;
   for (int I = 0; I < 24; ++I) {
     DeepSccSpec Spec;
     Spec.Blocks = 3 + static_cast<uint32_t>(R.below(6));
@@ -294,45 +380,88 @@ TEST(EmptinessEquivalence, CutoffsAreSoundOnDeepSccFamily) {
     Spec.Nonempty = (I % 2) == 1;
     std::vector<State> EchoOf;
     Buchi A = randomDeepSccBa(R, Spec, &EchoOf);
-
-    // checkEmptiness computes a full direct simulation when no relation is
-    // supplied, so a genuinely cutoff-free baseline needs an explicit
-    // equality-only (pure reflexive) relation.
-    EmptinessOptions Plain;
-    Plain.SubsumedBy = [](State Sub, State Sup) { return Sub == Sup; };
-    Plain.FindWitness = true;
-    EmptinessResult NoCutoff =
-        checkEmptiness(A, EmptinessStrategy::Couvreur, Plain);
-
-    EmptinessOptions WithOracle;
-    WithOracle.SubsumedBy = [&EchoOf](State Sub, State Sup) {
+    Relation Echo = [&EchoOf](State Sub, State Sup) {
       return Sub == Sup || EchoOf[Sub] == Sup;
     };
-    WithOracle.SubsumptionIsEarly = true;
-    WithOracle.FindWitness = true;
-    EmptinessResult Cut =
-        checkEmptiness(A, EmptinessStrategy::Couvreur, WithOracle);
 
-    bool Ref = isEmpty(A);
+    bool Ref = !findAcceptingLasso(A).has_value();
     EXPECT_EQ(Ref, !Spec.Nonempty) << "instance " << I;
-    EXPECT_EQ(NoCutoff.IsEmpty, Ref) << "instance " << I;
-    EXPECT_EQ(Cut.IsEmpty, Ref)
+    SccSearchResult NoCutoff =
+        searchExplicit(A, SccSearchMode::FirstAccepting, Relation());
+    SccSearchResult Cut = searchExplicit(A, SccSearchMode::FirstAccepting,
+                                         Echo);
+    EXPECT_EQ(NoCutoff.LanguageEmpty, Ref) << "instance " << I;
+    EXPECT_EQ(Cut.LanguageEmpty, Ref)
         << "instance " << I << ": cutoffs changed the verdict";
     // A merge can invalidate a provisional on-stack prune and restart the
     // search without it; the cumulative explored count then legitimately
     // exceeds the cutoff-free run's, so only restart-free runs must shrink.
-    if (Cut.CutoffRestarts == 0)
+    if (Cut.CutoffRestarts == 0) {
       EXPECT_LE(Cut.StatesExplored, NoCutoff.StatesExplored)
           << "instance " << I << ": cutoffs grew the explored set";
-    if (!Cut.IsEmpty) {
-      ASSERT_TRUE(Cut.Witness.has_value()) << "instance " << I;
-      EXPECT_TRUE(acceptsLasso(A, *Cut.Witness)) << "instance " << I;
     }
-    TotalCutoffs += Cut.OnStackCutoffs + Cut.ClosedCutoffs;
+    OnStack += Cut.OnStackCutoffs;
+    Closed += Cut.ClosedCutoffs;
   }
   // The family exists to feed the cutoffs; if they never fire the "sound"
   // claim above is vacuous.
-  EXPECT_GT(TotalCutoffs, 0u);
+  EXPECT_GT(OnStack, 0u);
+  EXPECT_GT(Closed, 0u);
+}
+
+TEST(EmptinessEquivalence, ClassifyModeNeverAppliesOnStackCutoffs) {
+  // The cutoff rule: an on-stack prune leaves a state unclassified, so
+  // Algorithm 1 must ignore SubsumedBy or materialization would drop
+  // useful states. Given an early relation (NCSB-Lazy's, lifted to the
+  // product; the deep-SCC family's echo witness), classify mode must
+  // return exactly the cutoff-free useful set, while first-accepting mode
+  // does prune with the same relation -- otherwise this check is vacuous.
+  size_t Pruning = 0, Useful = 0;
+  std::vector<ProductInstance> Corpus = productCorpus(120, 0xC1A55001);
+  for (size_t I = 0; I < Corpus.size(); ++I) {
+    NcsbOracle O(Corpus[I].Prepared, NcsbVariant::Lazy);
+    ASSERT_TRUE(O.subsumptionIsEarly());
+    OracleProduct P(Corpus[I].A, O);
+    Relation Rel = [&P](State Sub, State Sup) {
+      return P.subsumedBy(Sub, Sup);
+    };
+    SccSearchResult Ref = SccSearch(SccSearchMode::Classify).run(P);
+    SccSearch WithRel(SccSearchMode::Classify);
+    WithRel.SubsumedBy = Rel;
+    SccSearchResult R = WithRel.run(P);
+    EXPECT_EQ(R.Useful, Ref.Useful) << "product " << I;
+    EXPECT_EQ(R.LanguageEmpty, Ref.LanguageEmpty) << "product " << I;
+    EXPECT_EQ(R.StatesExplored, Ref.StatesExplored) << "product " << I;
+    EXPECT_EQ(R.OnStackCutoffs, 0u) << "product " << I;
+    Useful += Ref.Useful.size();
+
+    SccSearch First(SccSearchMode::FirstAccepting);
+    First.SubsumedBy = Rel;
+    SccSearchResult F = First.run(P);
+    EXPECT_EQ(F.LanguageEmpty, Ref.LanguageEmpty) << "product " << I;
+    Pruning += F.OnStackCutoffs != 0 ? 1 : 0;
+  }
+  Rng R(0xC1A55002);
+  for (int I = 0; I < 24; ++I) {
+    DeepSccSpec Spec;
+    Spec.Blocks = 2 + static_cast<uint32_t>(R.below(4));
+    Spec.EchoLength = 2 + static_cast<uint32_t>(R.below(6));
+    Spec.Nonempty = true;
+    std::vector<State> EchoOf;
+    Buchi A = randomDeepSccBa(R, Spec, &EchoOf);
+    ExplicitGbaSource Src(A);
+    SccSearchResult Ref = SccSearch(SccSearchMode::Classify).run(Src);
+    SccSearch WithRel(SccSearchMode::Classify);
+    WithRel.SubsumedBy = [&EchoOf](State Sub, State Sup) {
+      return Sub == Sup || EchoOf[Sub] == Sup;
+    };
+    SccSearchResult Res = WithRel.run(Src);
+    EXPECT_EQ(Res.Useful, Ref.Useful) << "deep-SCC instance " << I;
+    EXPECT_EQ(Res.OnStackCutoffs, 0u) << "deep-SCC instance " << I;
+    Useful += Ref.Useful.size();
+  }
+  EXPECT_GT(Useful, 0u);
+  EXPECT_GT(Pruning, 0u) << "the relation never prunes; the check is vacuous";
 }
 
 namespace {
@@ -377,11 +506,9 @@ TEST(EmptinessEquivalence, AnalyzerVerdictsAgreeAcrossEngines) {
   size_t Compared = 0;
   for (const auto &[Name, Prog] : Programs) {
     AnalysisResult R[2];
-    const EmptinessStrategy Engines[2] = {EmptinessStrategy::GaiserSchwoon,
-                                          EmptinessStrategy::Couvreur};
     for (int E = 0; E < 2; ++E) {
       AnalyzerOptions Opts;
-      Opts.Emptiness = Engines[E];
+      Opts.Emptiness = Strategies[E];
       Opts.TimeoutSeconds = 5;
       Opts.MaxIterations = 80;
       Program Local = Prog;
@@ -428,7 +555,7 @@ TEST(EmptinessEquivalence, FullRosterIsDeterministicSequentially) {
 
 TEST(EmptinessEquivalence, EmptinessFaultsOnlyWeakenVerdicts) {
   // Chaos for the new fault site: every seed whose plan arms
-  // FaultSite::EmptinessStep runs the analyzer with the Couvreur engine
+  // FaultSite::EmptinessStep runs the analyzer with the Couvreur strategy
   // forced on; a contained fault may cost the verdict, never flip it.
   std::map<std::string, Verdict> Expected;
   {
@@ -474,9 +601,10 @@ TEST(EmptinessEquivalence, EmptinessFaultsOnlyWeakenVerdicts) {
     FaultInjector::disarm();
     if (!R.ok())
       continue; // captured at the boundary: contained, just inconclusive
-    if (isConclusive(R.value().V))
+    if (isConclusive(R.value().V)) {
       EXPECT_EQ(R.value().V, It->second)
           << Name << " flipped verdict under fault seed " << Seed;
+    }
   }
   EXPECT_GT(Armed, 0u) << "no seed armed EmptinessStep; plan derivation stale?";
   EXPECT_GT(Fired, 0u) << "armed faults never fired; site unreachable?";

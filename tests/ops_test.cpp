@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "InclusionOracle.h"
+
 #include "automata/Dot.h"
 #include "automata/Ops.h"
 #include "benchgen/RandomAutomata.h"

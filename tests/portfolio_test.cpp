@@ -152,7 +152,7 @@ TEST(Portfolio, RosterIsDiverseAndClamped) {
   // The modular and Couvreur entrants ride at the tail so historical
   // prefixes are unchanged: every pre-existing slot races the Auto
   // complement strategy, slots 14-15 race the mix-and-match modular
-  // complement, and slots 16-17 race the Couvreur emptiness engine.
+  // complement, and slots 16-17 race the Couvreur emptiness strategy.
   for (size_t I = 0; I < 14; ++I)
     EXPECT_EQ(Configs[I].Opts.Complement, ComplementStrategy::Auto)
         << Configs[I].Name;
@@ -171,8 +171,8 @@ TEST(Portfolio, RosterIsDiverseAndClamped) {
     EXPECT_NE(Configs[I].Name.find("couvreur"), std::string::npos)
         << Configs[I].Name;
   }
-  // Entry 16 is entry 0 with only the emptiness engine flipped -- the
-  // head-to-head race the bench harness mirrors offline.
+  // Entry 16 is entry 0 with only the emptiness strategy flipped -- a
+  // head-to-head race of the two strategies.
   EXPECT_EQ(Configs[16].Opts.Sequence, Configs[0].Opts.Sequence);
   EXPECT_EQ(Configs[16].Opts.Ncsb, Configs[0].Opts.Ncsb);
   EXPECT_EQ(Configs[16].Opts.UseSubsumption, Configs[0].Opts.UseSubsumption);

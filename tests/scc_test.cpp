@@ -79,7 +79,8 @@ TEST(Emptiness, AcceptanceSplitAcrossDisconnectedSccsIsEmpty) {
 //===----------------------------------------------------------------------===//
 
 /// Naive reference: a state is useful iff the automaton with that state as
-/// the only initial state is nonempty.
+/// the only initial state is nonempty, decided by findAcceptingLasso
+/// (Tarjan plus BFS), which shares no code with the SCC search under test.
 std::vector<bool> naiveUseful(const Buchi &A) {
   std::vector<bool> Useful(A.numStates(), false);
   StateSet Reach = A.reachableStates();
@@ -93,7 +94,7 @@ std::vector<bool> naiveUseful(const Buchi &A) {
         Probe.addTransition(Q, Arc.Sym, Arc.To);
     }
     Probe.addInitial(S);
-    Useful[S] = !isEmpty(Probe);
+    Useful[S] = findAcceptingLasso(Probe).has_value();
   }
   return Useful;
 }
@@ -113,8 +114,7 @@ TEST(Algorithm1, ClassifiesPaperShapedExample) {
   A.addTransition(4, 0, 4);
 
   ExplicitGbaSource Src(A);
-  UselessStateRemover Remover;
-  RemoveUselessResult R = Remover.run(Src);
+  SccSearchResult R = SccSearch(SccSearchMode::Classify).run(Src);
   EXPECT_FALSE(R.LanguageEmpty);
   StateSet Useful(R.Useful);
   EXPECT_TRUE(Useful.contains(0));
@@ -132,8 +132,7 @@ TEST(Algorithm1, EmptyLanguageClassifiesAllUseless) {
   A.addTransition(1, 0, 2);
   A.addTransition(2, 0, 0);
   ExplicitGbaSource Src(A);
-  UselessStateRemover Remover;
-  RemoveUselessResult R = Remover.run(Src);
+  SccSearchResult R = SccSearch(SccSearchMode::Classify).run(Src);
   EXPECT_TRUE(R.LanguageEmpty);
   EXPECT_TRUE(R.Useful.empty());
 }
@@ -148,15 +147,14 @@ TEST(Algorithm1, PropertyMatchesNaiveClassification) {
     Buchi A = randomBa(R, Spec);
 
     ExplicitGbaSource Src(A);
-    UselessStateRemover Remover;
-    RemoveUselessResult Res = Remover.run(Src);
+    SccSearchResult Res = SccSearch(SccSearchMode::Classify).run(Src);
     StateSet Useful(Res.Useful);
     std::vector<bool> Expect = naiveUseful(A);
     StateSet Reach = A.reachableStates();
     for (State S : Reach.elems())
       EXPECT_EQ(Useful.contains(S), Expect[S])
           << "state " << S << " misclassified\n" << A.str();
-    EXPECT_EQ(Res.LanguageEmpty, isEmpty(A));
+    EXPECT_EQ(Res.LanguageEmpty, !findAcceptingLasso(A).has_value());
   }
 }
 
@@ -168,8 +166,7 @@ TEST(Algorithm1, RestrictionToUsefulPreservesLanguage) {
     Spec.NumSymbols = 2;
     Buchi A = randomBa(R, Spec);
     ExplicitGbaSource Src(A);
-    UselessStateRemover Remover;
-    RemoveUselessResult Res = Remover.run(Src);
+    SccSearchResult Res = SccSearch(SccSearchMode::Classify).run(Src);
     Buchi Pruned = restrictToStates(A, StateSet(Res.Useful));
     for (int W = 0; W < 20; ++W) {
       LassoWord L = randomLasso(R, Spec.NumSymbols, 3, 3);

@@ -6,7 +6,9 @@
 # and a structured diagnostic naming the flag, never silently parsed as
 # zero (the old atof/atol behavior turned "--timeout 1O" into an instant
 # timeout). Well-formed values must still be accepted. The enumerated
-# flags (--complement, --emptiness) get the same structured rejection.
+# flag --complement gets the same structured rejection, and --emptiness,
+# which the CLI does not have, must be an unknown-option usage error
+# (exit 4) whatever value follows it.
 #
 # Machine-readable output on stdout (--stats-json -, --trace -) must leave
 # stdout parseable: the human-readable lines then go to stderr. These
@@ -39,6 +41,23 @@ expect_reject() {
     FAIL=1
   else
     echo "ok   reject $FLAG '$VAL'"
+  fi
+}
+
+# expect_unknown <flag> [value]: a flag the CLI does not have must exit 4
+# with an unknown-option diagnostic naming it, whatever value follows.
+expect_unknown() {
+  FLAG=$1
+  ERR=$("$BIN" "$@" "$PROG" 2>&1 >/dev/null)
+  RC=$?
+  if [ "$RC" -ne 4 ]; then
+    echo "FAIL $*: exit $RC, expected 4" >&2
+    FAIL=1
+  elif ! printf '%s' "$ERR" | grep -q -- "unknown option '$FLAG'"; then
+    echo "FAIL $*: not an unknown-option diagnostic: $ERR" >&2
+    FAIL=1
+  else
+    echo "ok   unknown $*"
   fi
 }
 
@@ -84,11 +103,13 @@ expect_reject --complement bogus
 expect_reject --complement ""
 expect_accept --complement auto
 expect_accept --complement modular
-expect_reject --emptiness bogus
-expect_reject --emptiness ""
-expect_reject --emptiness auto
-expect_accept --emptiness gaiser_schwoon
-expect_accept --emptiness couvreur
+# --emptiness is gone: the Couvreur pass is reachable only through the
+# portfolio roster, so every former value is an unknown-option error.
+expect_unknown --emptiness
+expect_unknown --emptiness bogus
+expect_unknown --emptiness auto
+expect_unknown --emptiness gaiser_schwoon
+expect_unknown --emptiness couvreur
 
 if ! command -v jq >/dev/null 2>&1; then
   echo "FAIL stdout checks need jq on PATH" >&2

@@ -13,9 +13,6 @@
 ///     --sequence <i|ii|iii>  stage sequence of Section 7 (default i)
 ///     --ncsb <lazy|original> SDBA complementation variant (default lazy)
 ///     --complement <auto|modular> module complementation strategy
-///     --emptiness <gaiser_schwoon|couvreur>
-///                         difference emptiness engine
-///                         (default gaiser_schwoon)
 ///     --no-subsumption    disable the Section 6 antichain
 ///     --portfolio <K>     race the first K default configurations (1..18)
 ///     --jobs <N>          portfolio worker threads (default: all cores;
@@ -94,12 +91,6 @@ void usage(const char *Prog) {
       "                          module complementation strategy: 'modular'\n"
       "                          decomposes modules by accepting SCC and\n"
       "                          intersects per-class partial complements\n"
-      "  --emptiness <gaiser_schwoon|couvreur>\n"
-      "                          difference emptiness engine: 'couvreur'\n"
-      "                          answers every subtraction with the\n"
-      "                          on-stack-cutoff Couvreur/Tarjan SCC search\n"
-      "                          before materializing (default\n"
-      "                          gaiser_schwoon)\n"
       "  --no-subsumption        disable the antichain optimization\n"
       "  --portfolio <K>         race the first K default configurations\n"
       "                          (1..18) and report the first conclusive\n"
@@ -216,10 +207,6 @@ int runMain(int Argc, char **Argv) {
         Opts.Complement = ComplementStrategy::Modular;
       else
         badValue("--complement", V, "'auto' or 'modular'");
-    } else if (std::strcmp(Arg, "--emptiness") == 0) {
-      const char *V = NeedsValue("--emptiness");
-      if (!emptinessStrategyFromName(V, Opts.Emptiness))
-        badValue("--emptiness", V, "'gaiser_schwoon' or 'couvreur'");
     } else if (std::strcmp(Arg, "--no-subsumption") == 0) {
       Opts.UseSubsumption = false;
     } else if (std::strcmp(Arg, "--no-nonterm") == 0) {
